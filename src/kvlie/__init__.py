@@ -1,16 +1,16 @@
 """Exact free Lie algebra calculus with transport solvers and graph weights."""
 
 from .words import Alphabet, AmbientMismatch, AssocSeries, NotPrimitiveError
-from .lie import LieSeries, bch, bch_xy, lie_bracket
+from .lie import LieSeries, bch, bch_xy
 from .cyclic import (CycSeries, duflo_series, h_subspace_vector, j_of,
                      partial_decompose, tr_project, tr_power)
 from .derivations import (BraidGenerator, DerivationFlags, TDer, braid_embed,
                           braid_bracket_basis, classify, divergence,
-                          tder_apply, tder_bracket, tder_extend, tn_membership)
+                          tder_bracket, tder_extend, tn_membership)
 from .automorphisms import (TAutElem, inner_automorphism, iris_derivation,
                             j_group_cocycle, r_element, symmetry_transform,
-                            tau_involution, taut_apply, taut_compose,
-                            taut_exp, taut_extend, taut_invert, taut_log)
+                            tau_involution, taut_exp, taut_extend,
+                            taut_invert, taut_log)
 from .solvers import (AssociatorCandidate, DegreeRecord, DegreeReport,
                       check_associator_axioms, check_f_symmetries,
                       solve_associator, solve_kv, tder_bch)

@@ -230,16 +230,8 @@ def taut_log(g: TAutElem) -> TDer:
     return u
 
 
-def taut_compose(g: TAutElem, h: TAutElem) -> TAutElem:
-    return g.compose(h)
-
-
 def taut_invert(g: TAutElem) -> TAutElem:
     return g.invert()
-
-
-def taut_apply(g: TAutElem, target):
-    return g.apply(target)
 
 
 def taut_extend(g: TAutElem, pattern, arity: Optional[int] = None) -> TAutElem:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, Mapping
 
 from .lie import LieSeries, bch_xy, j_coefficients
-from .words import Alphabet, AmbientMismatch, AssocSeries, Word, _as_fraction
+from .words import _ZERO, Alphabet, AmbientMismatch, AssocSeries, Word, _as_fraction
 
 
 def canonical_rotation(word: Word) -> Word:
@@ -46,6 +46,20 @@ class CycSeries:
         self.coeffs = table
 
     @classmethod
+    def _trusted(cls, alphabet: Alphabet, degree: int,
+                 table: Mapping[Word, Fraction]) -> "CycSeries":
+        """Wrap a table keyed by necklaces no longer than ``degree``.
+
+        The keys must already be rotation-minimal and the values
+        Fractions; only zeros are dropped.
+        """
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.degree = degree
+        self.coeffs = {w: c for w, c in table.items() if c}
+        return self
+
+    @classmethod
     def zero(cls, alphabet: Alphabet, degree: int) -> "CycSeries":
         return cls(alphabet, degree, {})
 
@@ -77,27 +91,34 @@ class CycSeries:
         return self.coeffs.get(canonical_rotation(tuple(word)), Fraction(0))
 
     def homogeneous(self, d: int) -> "CycSeries":
-        return CycSeries(self.alphabet, self.degree,
-                         {w: c for w, c in self.coeffs.items() if len(w) == d})
+        return CycSeries._trusted(
+            self.alphabet, self.degree,
+            {w: c for w, c in self.coeffs.items() if len(w) == d})
 
     def __add__(self, other: "CycSeries") -> "CycSeries":
         self._check_same(other)
         table = dict(self.coeffs)
+        get = table.get
         for w, c in other.coeffs.items():
-            table[w] = table.get(w, Fraction(0)) + c
-        return CycSeries(self.alphabet, self.degree, table)
+            table[w] = get(w, _ZERO) + c
+        return CycSeries._trusted(self.alphabet, self.degree, table)
 
     def __neg__(self) -> "CycSeries":
-        return CycSeries(self.alphabet, self.degree,
-                         {w: -c for w, c in self.coeffs.items()})
+        return CycSeries._trusted(self.alphabet, self.degree,
+                                  {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "CycSeries") -> "CycSeries":
-        return self + (-other)
+        self._check_same(other)
+        table = dict(self.coeffs)
+        get = table.get
+        for w, c in other.coeffs.items():
+            table[w] = get(w, _ZERO) - c
+        return CycSeries._trusted(self.alphabet, self.degree, table)
 
     def scale(self, c) -> "CycSeries":
         c = _as_fraction(c)
-        return CycSeries(self.alphabet, self.degree,
-                         {w: c * v for w, v in self.coeffs.items()})
+        return CycSeries._trusted(self.alphabet, self.degree,
+                                  {w: c * v for w, v in self.coeffs.items()})
 
     def representative(self) -> AssocSeries:
         """One word per necklace; tr_project of it gives the series back."""
@@ -109,10 +130,11 @@ def tr_project(series: AssocSeries) -> CycSeries:
     if series.constant_term:
         raise ValueError("tr is only defined on series without degree-0 term")
     table: Dict[Word, Fraction] = {}
+    get = table.get
     for word, c in series.coeffs.items():
         key = canonical_rotation(word)
-        table[key] = table.get(key, Fraction(0)) + c
-    return CycSeries(series.alphabet, series.degree, table)
+        table[key] = get(key, _ZERO) + c
+    return CycSeries._trusted(series.alphabet, series.degree, table)
 
 
 def partial_decompose(series: AssocSeries, i: int) -> AssocSeries:
@@ -128,8 +150,8 @@ def partial_decompose(series: AssocSeries, i: int) -> AssocSeries:
     table: Dict[Word, Fraction] = {}
     for word, c in series.coeffs.items():
         if word[-1] == i:
-            table[word[:-1]] = table.get(word[:-1], Fraction(0)) + c
-    return AssocSeries(series.alphabet, series.degree, table)
+            table[word[:-1]] = c
+    return AssocSeries._trusted(series.alphabet, series.degree, table)
 
 
 def tr_power(z: LieSeries, k: int) -> CycSeries:

@@ -15,13 +15,17 @@ from . import linalg
 from .cyclic import CycSeries, partial_decompose, tr_project
 from .lie import LieSeries
 from .lyndon import lyndon_basis
-from .words import Alphabet, AmbientMismatch, AssocSeries, Word
+from .words import _ZERO, Alphabet, AmbientMismatch, AssocSeries, Word
 
 
 class TDer:
-    """Tangential derivation u = (a_1, ..., a_n)."""
+    """Tangential derivation u = (a_1, ..., a_n).
 
-    __slots__ = ("alphabet", "degree", "components")
+    Immutable: the generator images are computed on first use and kept
+    for the life of the object.
+    """
+
+    __slots__ = ("alphabet", "degree", "components", "_images")
 
     def __init__(self, components: Sequence[LieSeries], strict: bool = False):
         components = tuple(components)
@@ -44,6 +48,7 @@ class TDer:
         self.alphabet = first.alphabet
         self.degree = first.degree
         self.components = tuple(normalized)
+        self._images = None
 
     @classmethod
     def zero(cls, alphabet: Alphabet, degree: int) -> "TDer":
@@ -93,33 +98,34 @@ class TDer:
 
     # -- action --------------------------------------------------------
 
-    def generator_images(self) -> List[AssocSeries]:
+    def generator_images(self) -> Tuple[AssocSeries, ...]:
         """u(x_i) = [x_i, a_i] as word series."""
-        out = []
-        for i, a in enumerate(self.components):
-            xi = AssocSeries.generator(self.alphabet, self.degree, i)
-            out.append(xi.commutator(a.to_assoc()))
-        return out
+        if self._images is None:
+            self._images = tuple(
+                AssocSeries.generator(self.alphabet, self.degree, i)
+                .commutator(a.to_assoc())
+                for i, a in enumerate(self.components))
+        return self._images
 
     def apply_assoc(self, target: AssocSeries) -> AssocSeries:
         """Leibniz extension to the word algebra."""
         if target.alphabet != self.alphabet or target.degree != self.degree:
             raise AmbientMismatch("derivation and target live over different ambients")
-        images = self.generator_images()
+        images = [im.coeffs.items() for im in self.generator_images()]
         table: Dict[Word, Fraction] = {}
-        result = AssocSeries.zero(self.alphabet, self.degree)
+        get = table.get
         for word, c in target.coeffs.items():
+            room = self.degree - (len(word) - 1)
+            if room < 1:
+                continue
             for pos, letter in enumerate(word):
-                room = self.degree - (len(word) - 1)
-                if room < 1:
-                    continue
                 prefix, suffix = word[:pos], word[pos + 1:]
-                for w, e in images[letter].coeffs.items():
+                for w, e in images[letter]:
                     if len(w) > room:
                         continue
                     full = prefix + w + suffix
-                    table[full] = table.get(full, Fraction(0)) + c * e
-        return AssocSeries(self.alphabet, self.degree, table)
+                    table[full] = get(full, _ZERO) + c * e
+        return AssocSeries._trusted(self.alphabet, self.degree, table)
 
     def apply(self, target: Union[LieSeries, AssocSeries, CycSeries]):
         """Act on a Lie, word, or cyclic series; the result has the same kind."""
@@ -148,10 +154,6 @@ class TDer:
 
 def tder_bracket(u: TDer, v: TDer) -> TDer:
     return u.bracket(v)
-
-
-def tder_apply(u: TDer, target):
-    return u.apply(target)
 
 
 def divergence(u: TDer) -> CycSeries:

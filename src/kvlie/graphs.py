@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple, Union
 
-from .cyclic import CycSeries, tr_project
+from .cyclic import CycSeries, canonical_rotation, tr_project
 from .lie import LieSeries
 from .words import Alphabet
 
@@ -204,10 +204,6 @@ def _rotations(seq: tuple):
     return [seq[i:] + seq[:i] for i in range(len(seq))]
 
 
-def _necklace_min(seq: tuple) -> tuple:
-    return min(_rotations(seq))
-
-
 def _cycle_symmetry(seq: tuple) -> int:
     return sum(1 for r in _rotations(seq) if r == seq)
 
@@ -278,7 +274,7 @@ def enumerate_wheel_graphs(n: int) -> List[Tuple[WheelGraph, CycSeries, int]]:
                 pools.append([s for s in sorted(_tree_shapes(j))
                               if not _has_multiedge(s)])
             for spokes in _product_of(pools):
-                key = _necklace_min(spokes)
+                key = canonical_rotation(spokes)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -13,7 +13,8 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .lyndon import bracket_expansion, bracket_structure, is_lyndon, lyndon_basis
-from .words import Alphabet, AssocSeries, NotPrimitiveError, Word, _as_fraction
+from .words import (_ZERO, AmbientMismatch, Alphabet, AssocSeries,
+                    NotPrimitiveError, Word, _as_fraction)
 
 
 class LieSeries:
@@ -42,6 +43,20 @@ class LieSeries:
                     table[word] = c
         self.coeffs = table
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, degree: int,
+                 table: Mapping[Word, Fraction]) -> "LieSeries":
+        """Wrap a table built from valid series over the same ambient.
+
+        The keys must already be Lyndon words over the alphabet no longer
+        than ``degree`` and the values Fractions; only zeros are dropped.
+        """
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.degree = degree
+        self.coeffs = {w: c for w, c in table.items() if c}
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -62,7 +77,6 @@ class LieSeries:
 
     def _check_same(self, other: "LieSeries"):
         if self.alphabet != other.alphabet or self.degree != other.degree:
-            from .words import AmbientMismatch
             raise AmbientMismatch(
                 f"ambient mismatch: ({self.alphabet}, N={self.degree}) vs "
                 f"({other.alphabet}, N={other.degree})")
@@ -91,8 +105,9 @@ class LieSeries:
         return self.coeffs.get(tuple(word), Fraction(0))
 
     def homogeneous(self, d: int) -> "LieSeries":
-        return LieSeries(self.alphabet, self.degree,
-                         {w: c for w, c in self.coeffs.items() if len(w) == d})
+        return LieSeries._trusted(
+            self.alphabet, self.degree,
+            {w: c for w, c in self.coeffs.items() if len(w) == d})
 
     def min_degree(self) -> int | None:
         return min((len(w) for w in self.coeffs), default=None)
@@ -105,39 +120,49 @@ class LieSeries:
     def __add__(self, other: "LieSeries") -> "LieSeries":
         self._check_same(other)
         table = dict(self.coeffs)
+        get = table.get
         for w, c in other.coeffs.items():
-            table[w] = table.get(w, Fraction(0)) + c
-        return LieSeries(self.alphabet, self.degree, table)
+            table[w] = get(w, _ZERO) + c
+        return LieSeries._trusted(self.alphabet, self.degree, table)
 
     def __neg__(self) -> "LieSeries":
-        return LieSeries(self.alphabet, self.degree,
-                         {w: -c for w, c in self.coeffs.items()})
+        return LieSeries._trusted(self.alphabet, self.degree,
+                                  {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "LieSeries") -> "LieSeries":
-        return self + (-other)
+        self._check_same(other)
+        table = dict(self.coeffs)
+        get = table.get
+        for w, c in other.coeffs.items():
+            table[w] = get(w, _ZERO) - c
+        return LieSeries._trusted(self.alphabet, self.degree, table)
 
     def scale(self, c) -> "LieSeries":
         c = _as_fraction(c)
-        return LieSeries(self.alphabet, self.degree,
-                         {w: c * v for w, v in self.coeffs.items()})
+        return LieSeries._trusted(self.alphabet, self.degree,
+                                  {w: c * v for w, v in self.coeffs.items()})
 
     # -- conversions ---------------------------------------------------
 
     def to_assoc(self) -> AssocSeries:
         table: Dict[Word, Fraction] = {}
+        get = table.get
         for word, c in self.coeffs.items():
             for w, e in bracket_expansion(word).items():
-                table[w] = table.get(w, Fraction(0)) + c * e
-        return AssocSeries(self.alphabet, self.degree, table)
+                table[w] = get(w, _ZERO) + c * e
+        return AssocSeries._trusted(self.alphabet, self.degree, table)
 
     @classmethod
     def from_assoc(cls, series: AssocSeries) -> "LieSeries":
         """Triangular solve against the Lyndon expansion; checks primitivity."""
         if series.constant_term:
             raise NotPrimitiveError(0, "series has a constant term")
+        by_len: Dict[int, Dict[Word, Fraction]] = {}
+        for w, c in series.coeffs.items():
+            by_len.setdefault(len(w), {})[w] = c
         table: Dict[Word, Fraction] = {}
-        for d in range(1, series.degree + 1):
-            remaining = {w: c for w, c in series.coeffs.items() if len(w) == d}
+        for d in sorted(by_len):
+            remaining = by_len[d]
             while remaining:
                 word = min(remaining)
                 if not is_lyndon(word):
@@ -147,12 +172,12 @@ class LieSeries:
                 for w, e in bracket_expansion(word).items():
                     if w == word:
                         continue
-                    v = remaining.get(w, Fraction(0)) - c * e
+                    v = remaining.get(w, _ZERO) - c * e
                     if v:
                         remaining[w] = v
                     else:
                         remaining.pop(w, None)
-        return cls(series.alphabet, series.degree, table)
+        return cls._trusted(series.alphabet, series.degree, table)
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
         self._check_same(other)
@@ -167,10 +192,6 @@ class LieSeries:
                 raise ValueError("substitution image has a degree-0 term")
         word_images = [im.to_assoc() for im in images]
         return LieSeries.from_assoc(self.to_assoc().substitute(word_images))
-
-
-def lie_bracket(a: LieSeries, b: LieSeries) -> LieSeries:
-    return a.bracket(b)
 
 
 def bch(a: LieSeries, b: LieSeries) -> LieSeries:

@@ -125,15 +125,25 @@ def in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]:
 
 
 def independent_subset(vectors: Sequence[Vector]) -> List[int]:
-    """Indices of a maximal linearly independent subset, scanned in order."""
+    """Indices of a maximal linearly independent subset, scanned in order.
+
+    The kept vectors are held in echelon form: each is reduced against the
+    earlier ones and scaled to 1 at its pivot, so it vanishes at every
+    earlier pivot.  A candidate reduced against them all in order vanishes
+    at every pivot, and is therefore zero exactly when it is dependent.
+    """
     chosen: List[int] = []
-    rows: Matrix = []
-    current = 0
+    echelon: List[Tuple[int, Vector]] = []
     for idx, vec in enumerate(vectors):
-        trial = rows + [list(vec)]
-        r = rank(trial)
-        if r > current:
-            chosen.append(idx)
-            rows = trial
-            current = r
+        v = list(vec)
+        for c, row in echelon:
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is None:
+            continue
+        inv = Fraction(1) / v[pivot]
+        echelon.append((pivot, [a * inv for a in v]))
+        chosen.append(idx)
     return chosen

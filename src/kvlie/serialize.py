@@ -23,7 +23,11 @@ def encode_fraction(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def decode_fraction(s: str) -> Fraction:
+def decode_fraction(s: Union[str, int]) -> Fraction:
+    """Exact input only: a rational string such as "-3/4", or an integer."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(
+            f"coefficient {s!r} is not exact; write rationals as strings like \"1/10\"")
     return Fraction(s)
 
 
@@ -56,11 +60,17 @@ def decode_series(doc: Dict[str, Any], kind: str = "lie",
     if "degreeN" not in doc or "terms" not in doc:
         raise ValueError("series document needs 'degreeN' and 'terms'")
     alphabet = _infer_alphabet(doc, n, key)
-    try:
-        table = {alphabet.parse_word(t[key]): decode_fraction(t["coeff"])
-                 for t in doc["terms"]}
-    except KeyError as exc:
-        raise ValueError(f"series term is missing {exc}") from exc
+    table = {}
+    for t in doc["terms"]:
+        try:
+            name, coeff = t[key], t["coeff"]
+        except KeyError as exc:
+            raise ValueError(f"series term is missing {exc}") from exc
+        word = alphabet.parse_word(name)
+        try:
+            table[word] = decode_fraction(coeff)
+        except ValueError as exc:
+            raise ValueError(f"series term {name!r}: {exc}") from exc
     degree = doc["degreeN"]
     if kind == "lie":
         return LieSeries(alphabet, degree, table)

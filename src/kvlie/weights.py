@@ -190,6 +190,9 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
         raise ValueError("Monte Carlo weights are limited to n <= 2")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if not 1 <= streams <= samples:
+        raise ValueError(
+            f"need 1 <= streams <= samples, got {streams} streams for {samples} samples")
     n = graph.n
     norm = ORIENTATION_SIGN / TWO_PI ** (2 * n)
     children = np.random.SeedSequence(seed).spawn(streams)

@@ -4,6 +4,10 @@ Words are tuples of 0-based generator indices.  Every series carries its
 alphabet and a hard truncation order; all products silently drop terms of
 total degree above the truncation, and mixing different ambients is an
 error, never a coercion.
+
+Series are validated once, by the public constructors here and in
+``lie`` and ``cyclic``.  Arithmetic on valid series builds its result
+through the private ``_trusted`` constructor, which only drops zeros.
 """
 from __future__ import annotations
 
@@ -67,6 +71,9 @@ class Alphabet:
         return tuple(out)
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("floating point coefficients are not allowed here")
@@ -104,6 +111,22 @@ class AssocSeries:
         if not unital and () in table:
             raise ValueError("augmentation-ideal series cannot carry the empty word")
         self.coeffs = table
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, degree: int,
+                 table: Mapping[Word, Fraction]) -> "AssocSeries":
+        """Wrap a table built from valid series over the same ambient.
+
+        The keys must already be in-alphabet words no longer than
+        ``degree`` and the values Fractions; only zeros are dropped.  The
+        result is unital, like every arithmetic result.
+        """
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.degree = degree
+        self.unital = True
+        self.coeffs = {w: c for w, c in table.items() if c}
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -160,8 +183,9 @@ class AssocSeries:
         return self.coeffs.get((), Fraction(0))
 
     def homogeneous(self, d: int) -> "AssocSeries":
-        return AssocSeries(self.alphabet, self.degree,
-                           {w: c for w, c in self.coeffs.items() if len(w) == d})
+        return AssocSeries._trusted(
+            self.alphabet, self.degree,
+            {w: c for w, c in self.coeffs.items() if len(w) == d})
 
     def min_degree(self) -> int | None:
         return min((len(w) for w in self.coeffs), default=None)
@@ -174,21 +198,27 @@ class AssocSeries:
     def __add__(self, other: "AssocSeries") -> "AssocSeries":
         self._check_same(other)
         table = dict(self.coeffs)
+        get = table.get
         for w, c in other.coeffs.items():
-            table[w] = table.get(w, Fraction(0)) + c
-        return AssocSeries(self.alphabet, self.degree, table)
+            table[w] = get(w, _ZERO) + c
+        return AssocSeries._trusted(self.alphabet, self.degree, table)
 
     def __neg__(self) -> "AssocSeries":
-        return AssocSeries(self.alphabet, self.degree,
-                           {w: -c for w, c in self.coeffs.items()})
+        return AssocSeries._trusted(self.alphabet, self.degree,
+                                    {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "AssocSeries") -> "AssocSeries":
-        return self + (-other)
+        self._check_same(other)
+        table = dict(self.coeffs)
+        get = table.get
+        for w, c in other.coeffs.items():
+            table[w] = get(w, _ZERO) - c
+        return AssocSeries._trusted(self.alphabet, self.degree, table)
 
     def scale(self, c) -> "AssocSeries":
         c = _as_fraction(c)
-        return AssocSeries(self.alphabet, self.degree,
-                           {w: c * v for w, v in self.coeffs.items()})
+        return AssocSeries._trusted(self.alphabet, self.degree,
+                                    {w: c * v for w, v in self.coeffs.items()})
 
     def __mul__(self, other: "AssocSeries") -> "AssocSeries":
         self._check_same(other)
@@ -197,7 +227,6 @@ class AssocSeries:
             by_len.setdefault(len(w2), []).append((w2, c2))
         table: Dict[Word, Fraction] = {}
         get = table.get
-        zero = Fraction(0)
         for w1, c1 in self.coeffs.items():
             room = self.degree - len(w1)
             for length, bucket in by_len.items():
@@ -205,8 +234,8 @@ class AssocSeries:
                     continue
                 for w2, c2 in bucket:
                     w = w1 + w2
-                    table[w] = get(w, zero) + c1 * c2
-        return AssocSeries(self.alphabet, self.degree, table)
+                    table[w] = get(w, _ZERO) + c1 * c2
+        return AssocSeries._trusted(self.alphabet, self.degree, table)
 
     def commutator(self, other: "AssocSeries") -> "AssocSeries":
         return self * other - other * self
@@ -253,7 +282,8 @@ class AssocSeries:
             target._check_same(im)
             if im.constant_term:
                 raise ValueError("substitution image has a degree-0 term")
-        result = AssocSeries.zero(target.alphabet, target.degree)
+        table: Dict[Word, Fraction] = {}
+        get = table.get
         cache: Dict[Word, AssocSeries] = {(): AssocSeries.one(target.alphabet, target.degree)}
         for word in sorted(self.coeffs, key=len):
             if word not in cache:
@@ -266,5 +296,7 @@ class AssocSeries:
                 for pos in range(k, len(word)):
                     acc = acc * images[word[pos]]
                     cache[word[:pos + 1]] = acc
-            result = result + cache[word].scale(self.coeffs[word])
-        return result
+            c = self.coeffs[word]
+            for w, e in cache[word].coeffs.items():
+                table[w] = get(w, _ZERO) + c * e
+        return AssocSeries._trusted(target.alphabet, target.degree, table)

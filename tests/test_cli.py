@@ -111,6 +111,24 @@ def test_weight_verbs():
     assert est["seed"] == 4
 
 
+@pytest.mark.parametrize("streams", ["0", "1001"])
+def test_weight_mc_bad_streams_exit_2(streams):
+    g = json.dumps({"n": 1, "m": 2, "edges": [[1, "g1"], [1, "g2"]]})
+    res = run("weight", "mc", "--input", "-", "--samples", "1000",
+              "--streams", streams, stdin=g)
+    assert res.returncode == 2
+    assert "streams" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_float_coefficient_input_exit_2():
+    doc = {"n": 2, "components": [
+        {"degreeN": 3, "terms": [{"word": "y", "coeff": 0.1}]},
+        {"degreeN": 3, "terms": [{"word": "x", "coeff": "1/1"}]}]}
+    res = run("classify", "--input", "-", stdin=json.dumps(doc))
+    assert res.returncode == 2
+    assert "'y'" in res.stderr and "not exact" in res.stderr
+
+
 def test_angle_verb():
     res = run("angle", "--p", "1j", "--q", "2j")
     assert res.returncode == 0

@@ -22,6 +22,17 @@ def test_fraction_codec():
     assert serialize.encode_fraction(Fraction(2)) == "2/1"
     assert serialize.decode_fraction("5/15") == Fraction(1, 3)
     assert serialize.decode_fraction(serialize.encode_fraction(Fraction(0))) == 0
+    assert serialize.decode_fraction(3) == Fraction(3)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True, None, [1, 2]])
+def test_inexact_coefficients_rejected(coeff):
+    with pytest.raises(ValueError):
+        serialize.decode_fraction(coeff)
+    doc = {"degreeN": 3, "terms": [{"word": "x", "coeff": "1/1"},
+                                   {"word": "xy", "coeff": coeff}]}
+    with pytest.raises(ValueError, match="'xy'"):
+        serialize.decode_series(doc, "lie")
 
 
 def test_series_roundtrip_all_kinds():

@@ -118,6 +118,10 @@ def test_montecarlo_input_validation():
     g = single_edge_graph()
     with pytest.raises(ValueError):
         weight_montecarlo(g, samples=1)
+    with pytest.raises(ValueError):
+        weight_montecarlo(g, samples=100, streams=0)
+    with pytest.raises(ValueError):
+        weight_montecarlo(g, samples=100, streams=101)
     big = KGraph(3, [(1, 2), (1, "g1"), (2, 3), (2, "g1"),
                      (3, "g1"), (3, "g2")])
     with pytest.raises(ValueError):
