@@ -24,7 +24,7 @@ class NotTangentialImage(ValueError):
     """An image tuple is not of the conjugated form Ad_g x_i."""
 
 
-def _lie_coords(s: LieSeries, d: int, basis) -> List[Fraction]:
+def _lie_coords(s: LieSeries, basis) -> List[Fraction]:
     return [s.coefficient(w) for w in basis]
 
 
@@ -44,10 +44,10 @@ def solve_ad_generator(alphabet: Alphabet, degree: int, i: int,
     columns = []
     for w in unknowns:
         bw = LieSeries(alphabet, degree, {w: Fraction(1)})
-        columns.append(_lie_coords(xi.bracket(bw), d + 1, target_basis))
+        columns.append(_lie_coords(xi.bracket(bw), target_basis))
     a = [[columns[j][r] for j in range(len(unknowns))]
          for r in range(len(target_basis))]
-    b = _lie_coords(rhs, d + 1, target_basis)
+    b = _lie_coords(rhs, target_basis)
     sol, _null = linalg.solve_affine(a, b) if unknowns else (None, [])
     if sol is None:
         if not any(b):
@@ -73,7 +73,7 @@ def ad_exponential(c: LieSeries, target: LieSeries) -> LieSeries:
 class TAutElem:
     """Tangential automorphism stored by generator images."""
 
-    __slots__ = ("alphabet", "degree", "images", "log_certificate")
+    __slots__ = ("alphabet", "degree", "images", "log_certificate", "_word_images")
 
     def __init__(self, images: Sequence[LieSeries],
                  log_certificate: Optional[TDer] = None,
@@ -90,6 +90,7 @@ class TAutElem:
         self.degree = first.degree
         self.images = images
         self.log_certificate = log_certificate
+        self._word_images = None
         if check:
             for i in range(self.alphabet.n):
                 self.conjugator_log(i)  # raises NotTangentialImage on failure
@@ -149,21 +150,27 @@ class TAutElem:
 
     # -- group operations ---------------------------------------------
 
+    def word_images(self) -> Tuple[AssocSeries, ...]:
+        """The generator images as word series, converted on first use."""
+        if self._word_images is None:
+            self._word_images = tuple(im.to_assoc() for im in self.images)
+        return self._word_images
+
     def apply(self, target: Union[LieSeries, AssocSeries, CycSeries]):
         """Algebra-map extension of the generator images."""
         if isinstance(target, LieSeries):
             if target.alphabet != self.alphabet or target.degree != self.degree:
                 raise AmbientMismatch("automorphism and target over different ambients")
-            return target.substitute(self.images)
+            return LieSeries.from_assoc(target.to_assoc().substitute(self.word_images()))
         if isinstance(target, AssocSeries):
             if target.alphabet != self.alphabet or target.degree != self.degree:
                 raise AmbientMismatch("automorphism and target over different ambients")
-            return target.substitute([im.to_assoc() for im in self.images])
+            return target.substitute(self.word_images())
         if isinstance(target, CycSeries):
             if target.alphabet != self.alphabet or target.degree != self.degree:
                 raise AmbientMismatch("automorphism and target over different ambients")
             rep = target.representative()
-            return tr_project(rep.substitute([im.to_assoc() for im in self.images]))
+            return tr_project(rep.substitute(self.word_images()))
         raise TypeError(f"cannot apply an automorphism to {type(target).__name__}")
 
     def compose(self, other: "TAutElem") -> "TAutElem":
@@ -173,11 +180,18 @@ class TAutElem:
         return TAutElem(images, check=False)
 
     def invert(self) -> "TAutElem":
-        """Degree-by-degree fixed point of g(inv(x_i)) = x_i."""
-        gens = LieSeries.generators(self.alphabet, self.degree)
-        inv = list(gens)
-        for _ in range(self.degree):
-            inv = [xi - (self.apply(s) - s) for xi, s in zip(gens, inv)]
+        """Degree-by-degree fixed point of g(inv(x_i)) = x_i.
+
+        Before step t, inv is right below degree t and has no term of
+        degree t, so the step subtracts the degree-t part of g(inv),
+        which a substitution at truncation t already gives.
+        """
+        alphabet, degree = self.alphabet, self.degree
+        inv = [AssocSeries.generator(alphabet, degree, i) for i in range(alphabet.n)]
+        for t in range(2, degree + 1):
+            cut = [im.truncated(t) for im in self.word_images()]
+            inv = [s - s.substitute(cut).homogeneous(t).truncated(degree) for s in inv]
+        inv = [LieSeries.from_assoc(s) for s in inv]
         result = TAutElem(inv, check=False)
         composed = self.compose(result)
         if not composed.is_identity():

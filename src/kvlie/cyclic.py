@@ -40,6 +40,8 @@ class CycSeries:
                     continue
                 c = _as_fraction(c)
                 if c:
+                    if any(i < 0 or i >= alphabet.n for i in word):
+                        raise ValueError(f"necklace {word} outside alphabet")
                     if word != canonical_rotation(word):
                         raise ValueError(f"{word} is not rotation-minimal")
                     table[word] = c
@@ -95,6 +97,13 @@ class CycSeries:
             self.alphabet, self.degree,
             {w: c for w, c in self.coeffs.items() if len(w) == d})
 
+    def truncated(self, degree: int) -> "CycSeries":
+        if degree < 1:
+            raise ValueError("truncation order must be >= 1")
+        return CycSeries._trusted(
+            self.alphabet, degree,
+            {w: c for w, c in self.coeffs.items() if len(w) <= degree})
+
     def __add__(self, other: "CycSeries") -> "CycSeries":
         self._check_same(other)
         table = dict(self.coeffs)
@@ -122,7 +131,7 @@ class CycSeries:
 
     def representative(self) -> AssocSeries:
         """One word per necklace; tr_project of it gives the series back."""
-        return AssocSeries(self.alphabet, self.degree, dict(self.coeffs))
+        return AssocSeries._trusted(self.alphabet, self.degree, self.coeffs)
 
 
 def tr_project(series: AssocSeries) -> CycSeries:

@@ -113,7 +113,11 @@ class LieSeries:
         return min((len(w) for w in self.coeffs), default=None)
 
     def truncated(self, degree: int) -> "LieSeries":
-        return LieSeries(self.alphabet, degree, self.coeffs)
+        if degree < 1:
+            raise ValueError("truncation order must be >= 1")
+        return LieSeries._trusted(
+            self.alphabet, degree,
+            {w: c for w, c in self.coeffs.items() if len(w) <= degree})
 
     # -- linear structure ---------------------------------------------
 

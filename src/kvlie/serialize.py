@@ -41,6 +41,19 @@ def encode_series(s: Union[LieSeries, AssocSeries, CycSeries]) -> Dict[str, Any]
     return {"degreeN": s.degree, "terms": _encode_terms(s.alphabet, s.coeffs, key)}
 
 
+def _require(doc: Any, what: str, **fields: type) -> None:
+    """Raise ValueError unless doc is an object with these typed fields."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key, kind in fields.items():
+        if key not in doc:
+            raise ValueError(f"{what} needs {key!r}")
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{what} {key!r} must be {kind.__name__}, "
+                             f"not {type(value).__name__}")
+
+
 def _infer_alphabet(doc: Dict[str, Any], n: Optional[int], key: str) -> Alphabet:
     if n is None:
         probe = Alphabet(4)
@@ -57,15 +70,15 @@ def decode_series(doc: Dict[str, Any], kind: str = "lie",
                   n: Optional[int] = None):
     """kind: lie | assoc | cyclic."""
     key = "necklace" if kind == "cyclic" else "word"
-    if "degreeN" not in doc or "terms" not in doc:
-        raise ValueError("series document needs 'degreeN' and 'terms'")
+    _require(doc, "series", degreeN=int, terms=list)
+    for t in doc["terms"]:
+        _require(t, "series term", **{key: str})
+        if "coeff" not in t:
+            raise ValueError(f"series term {t[key]!r} needs 'coeff'")
     alphabet = _infer_alphabet(doc, n, key)
     table = {}
     for t in doc["terms"]:
-        try:
-            name, coeff = t[key], t["coeff"]
-        except KeyError as exc:
-            raise ValueError(f"series term is missing {exc}") from exc
+        name, coeff = t[key], t["coeff"]
         word = alphabet.parse_word(name)
         try:
             table[word] = decode_fraction(coeff)
@@ -87,6 +100,7 @@ def encode_tder(u: TDer) -> Dict[str, Any]:
 
 
 def decode_tder(doc: Dict[str, Any]) -> TDer:
+    _require(doc, "derivation", n=int, components=list)
     n = doc["n"]
     return TDer([decode_series(c, "lie", n) for c in doc["components"]])
 
@@ -98,6 +112,7 @@ def encode_taut(g: TAutElem) -> Dict[str, Any]:
 
 
 def decode_taut(doc: Dict[str, Any]) -> TAutElem:
+    _require(doc, "automorphism", n=int, images=list)
     n = doc["n"]
     images = [decode_series(im, "lie", n) for im in doc["images"]]
     log = decode_tder(doc["log"]) if doc.get("log") else None

@@ -191,7 +191,13 @@ class AssocSeries:
         return min((len(w) for w in self.coeffs), default=None)
 
     def truncated(self, degree: int) -> "AssocSeries":
-        return AssocSeries(self.alphabet, degree, self.coeffs, unital=self.unital)
+        if degree < 1:
+            raise ValueError("truncation order must be >= 1")
+        out = AssocSeries._trusted(
+            self.alphabet, degree,
+            {w: c for w, c in self.coeffs.items() if len(w) <= degree})
+        out.unital = self.unital
+        return out
 
     # -- arithmetic ---------------------------------------------------
 

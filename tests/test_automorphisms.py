@@ -1,7 +1,10 @@
 """Tangential automorphisms: exp/log, composition, cocycles, symmetries."""
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvlie.automorphisms import (NotTangentialImage, TAutElem,
                                  inner_automorphism, iris_derivation,
@@ -10,6 +13,7 @@ from kvlie.automorphisms import (NotTangentialImage, TAutElem,
                                  taut_extend, taut_log)
 from kvlie.derivations import TDer, tder_extend
 from kvlie.lie import LieSeries, bch, bch_xy
+from kvlie.lyndon import lyndon_words
 from kvlie.words import Alphabet
 
 from test_derivations import rand_tder
@@ -45,6 +49,34 @@ def test_compose_invert():
     assert gh.apply(x) == g.apply(h.apply(x))
     assert g.compose(g.invert()) == TAutElem.identity(A2, 5)
     assert g.invert().compose(g) == TAutElem.identity(A2, 5)
+
+
+@st.composite
+def tangential_derivations(draw):
+    """Sparse u on 2 or 3 letters, truncation 3-6, linear terms allowed."""
+    n = draw(st.integers(2, 3))
+    degree = draw(st.integers(3, 6))
+    alphabet = Alphabet(n)
+    keys = st.sampled_from(lyndon_words(n, degree - 1))
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    return TDer([LieSeries(alphabet, degree,
+                           draw(st.dictionaries(keys, coeffs, max_size=3)))
+                 for _ in range(n)])
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tangential_derivations())
+def test_invert_is_exp_of_negative(u):
+    # exp(-u) is computed without invert, so it anchors the inverse
+    expected = taut_exp(-u).images
+    g = taut_exp(u)
+    uncertified = TAutElem(g.images)
+    identity = TAutElem.identity(u.alphabet, u.degree)
+    for h in (g, uncertified):
+        assert h.invert().images == expected
+        assert h.compose(h.invert()) == identity
+        assert h.invert().compose(h) == identity
 
 
 def test_log_rejects_non_tangential():

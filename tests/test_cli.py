@@ -129,6 +129,25 @@ def test_float_coefficient_input_exit_2():
     assert "'y'" in res.stderr and "not exact" in res.stderr
 
 
+@pytest.mark.parametrize("doc", [
+    {"components": []},
+    {"n": 2, "components": [
+        {"degreeN": 3, "terms": [{"word": 5, "coeff": "1/1"}]},
+        {"degreeN": 3, "terms": [{"word": "x", "coeff": "1/1"}]}]},
+    {"n": 2, "components": [
+        {"degreeN": 3, "terms": {"word": "y", "coeff": "1/1"}},
+        {"degreeN": 3, "terms": []}]},
+    {"n": 2, "components": 5},
+    {"n": 2, "components": [{"degreeN": "3", "terms": []},
+                            {"degreeN": 3, "terms": []}]},
+], ids=["missing_n", "numeric_word", "terms_not_a_list",
+        "components_not_a_list", "string_degree"])
+def test_malformed_document_exit_2(doc):
+    res = run("classify", "--input", "-", stdin=json.dumps(doc))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
 def test_angle_verb():
     res = run("angle", "--p", "1j", "--q", "2j")
     assert res.returncode == 0

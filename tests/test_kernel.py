@@ -35,7 +35,7 @@ def test_float_coefficient_rejected(cls):
         cls(A2, 3, {(0,): Fraction(1)}).scale(0.5)
 
 
-@pytest.mark.parametrize("cls", [AssocSeries, LieSeries])
+@pytest.mark.parametrize("cls", [AssocSeries, LieSeries, CycSeries])
 def test_out_of_alphabet_word_rejected(cls):
     with pytest.raises(ValueError):
         cls(A2, 3, {(0, 2): Fraction(1)})
@@ -126,6 +126,19 @@ def test_lie_and_derivation_results_are_clean(data, n, degree):
     for r in results:
         assert_clean(r, degree)
     assert LieSeries.from_assoc(a.to_assoc()) == a
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 3), st.integers(1, 4), st.integers(1, 5))
+def test_truncated_matches_public_constructor(data, n, degree, cut):
+    unital = data.draw(st.booleans())
+    a = data.draw(assoc_series(n, degree, unital=unital))
+    b = data.draw(lie_series(n, degree))
+    for s in (a, b, tr_project(a - a.homogeneous(0))):
+        t = s.truncated(cut)
+        assert t == type(s)(s.alphabet, cut, s.coeffs)
+        assert_clean(t, cut)  # no word beyond the cut
+    assert a.truncated(cut).unital is unital
 
 
 def test_generator_images_are_an_immutable_tuple():
