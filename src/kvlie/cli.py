@@ -39,14 +39,19 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
+    """Every input document is a JSON object."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _load_tder(path: str):

@@ -303,10 +303,13 @@ def braid_bracket_basis(n: int, d: int, degree: int) -> List[Tuple[tuple, TDer]]
 
     from .lyndon import bracket_structure, lyndon_basis as lyndon_of
 
+    cache: dict = {}
+
     def realize(struct):
-        if isinstance(struct, int):
-            return gens[struct]
-        return realize(struct[0]).bracket(realize(struct[1]))
+        if struct not in cache:
+            cache[struct] = (gens[struct] if isinstance(struct, int) else
+                             realize(struct[0]).bracket(realize(struct[1])))
+        return cache[struct]
 
     def label(struct):
         if isinstance(struct, int):

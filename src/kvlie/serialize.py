@@ -130,6 +130,13 @@ def encode_graph(g: KGraph) -> Dict[str, Any]:
 
 
 def decode_graph(doc: Dict[str, Any]) -> KGraph:
+    _require(doc, "graph", n=int, edges=list)
+    for e in doc["edges"]:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(v, (int, str)) and not isinstance(v, bool)
+                        for v in e)):
+            raise ValueError(
+                f"graph edge {e!r} must be a [source, target] list of vertices")
     edges = tuple((e[0], e[1]) for e in doc["edges"])
     return KGraph(doc["n"], edges, doc.get("m", 2))
 

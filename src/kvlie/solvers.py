@@ -305,9 +305,11 @@ def _log_residuals(phi: TDer, degree: int, hexagon_sign: int) -> Dict[str, TDer]
     """Axiom residual logs computed wholly at the derivation level.
 
     Independent of the automorphism path in _axiom_residuals: nothing here
-    is ever exponentiated, products are folded through tder_bch.
+    is ever exponentiated, products are folded through tder_bch.  Only the
+    degree-``degree`` coordinates are read, and the algebra is graded, so
+    everything runs at ambient ``degree``.
     """
-    phi = _tder_cap(phi, degree)
+    phi = _reambient(_tder_cap(phi, degree), degree)
 
     def ext(pattern, arity):
         return tder_extend(phi, pattern, arity)
@@ -330,6 +332,24 @@ def _log_residuals(phi: TDer, degree: int, hexagon_sign: int) -> Dict[str, TDer]
     hexagon = tder_bch(-central, lhs, order)
 
     return {"duality": duality, "pentagon": pentagon, "hexagon": hexagon}
+
+
+def _linear_residuals(e: TDer) -> Dict[str, TDer]:
+    """Linear part of the axiom residuals for a homogeneous step e.
+
+    Every bracket with e raises the degree, so at the degree of e the
+    residuals of phi + e are those of phi plus these signed sums of
+    simplicial extensions; the hexagon part is the same for both signs.
+    """
+    def ext(pattern, arity):
+        return tder_extend(e, pattern, arity)
+
+    return {
+        "duality": ext("3,2,1", 3) + ext("1,2,3", 3),
+        "pentagon": ext("1,2,34", 4) + ext("12,3,4", 4) - ext("2,3,4", 4)
+        - ext("1,23,4", 4) - ext("1,2,3", 4),
+        "hexagon": ext("3,1,2", 3) + ext("2,3,1", 3) + ext("1,2,3", 3),
+    }
 
 
 def _residual_vector(res: Dict[str, TDer], d: int) -> List[Fraction]:
@@ -359,7 +379,6 @@ def solve_associator(degree: int, parity: str = "even",
     coords: Dict[int, List] = {}
 
     for d in range(1, degree + 1):
-        basis = braid_bracket_basis(3, d, degree + 1)
         if parity == "even" and d % 2 == 1:
             res = _log_residuals(phi, d, hexagon_sign)
             vec = _residual_vector(res, d)
@@ -370,12 +389,10 @@ def solve_associator(degree: int, parity: str = "even",
                     f"even-parity associator system infeasible at odd degree {d}")
             coords[d] = []
             continue
+        basis = braid_bracket_basis(3, d, degree + 1)
         r0 = _residual_vector(_log_residuals(phi, d, hexagon_sign), d)
-        columns = []
-        for _lbl, e in basis:
-            trial = phi + e
-            r = _residual_vector(_log_residuals(trial, d, hexagon_sign), d)
-            columns.append([ri - r0i for ri, r0i in zip(r, r0)])
+        columns = [_residual_vector(_linear_residuals(_reambient(e, d)), d)
+                   for _lbl, e in basis]
         a = [[columns[j][r] for j in range(len(columns))] for r in range(len(r0))]
         b = [-v for v in r0]
         particular, null = linalg.solve_affine(a, b)

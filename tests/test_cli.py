@@ -148,6 +148,23 @@ def test_malformed_document_exit_2(doc):
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("verb,stdin", [
+    (["classify"], "5"),
+    (["exp"], "[1, 2]"),
+    (["weight", "mc"], "5"),
+    (["weight", "mc"], json.dumps({"n": 1})),
+    (["weight", "mc"], json.dumps({"n": 1, "edges": [[1]]})),
+    (["weight", "mc"], json.dumps({"n": "1", "edges": []})),
+    (["weight", "mc"], json.dumps({"n": 1, "edges": [[1, [2]], [1, "g1"]]})),
+], ids=["classify_number", "exp_list", "graph_number",
+        "graph_missing_edges", "graph_short_edge", "graph_string_n",
+        "graph_list_vertex"])
+def test_malformed_top_level_and_graph_exit_2(verb, stdin):
+    res = run(*verb, "--input", "-", stdin=stdin)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
 def test_angle_verb():
     res = run("angle", "--p", "1j", "--q", "2j")
     assert res.returncode == 0

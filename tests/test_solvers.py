@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from kvlie.automorphisms import taut_exp, taut_log
-from kvlie.derivations import TDer
+from kvlie.derivations import TDer, braid_bracket_basis, tder_coords, tder_extend
 from kvlie.lie import LieSeries
-from kvlie.solvers import (check_associator_axioms, check_f_symmetries,
-                           solve_associator, solve_kv, tder_bch)
+from kvlie.solvers import (_bch_chain, _braid_tders, _linear_residuals,
+                           _log_residuals, _reambient, _residual_vector,
+                           _tder_cap, check_associator_axioms,
+                           check_f_symmetries, solve_associator, solve_kv,
+                           tder_bch)
 from kvlie.words import Alphabet
 
 from test_derivations import rand_tder
@@ -95,3 +98,67 @@ def test_f_symmetries_of_symmetric_solution():
     report = check_f_symmetries(f)
     for name in ("eyelid_plus", "eyelid_minus", "tau_invariance"):
         assert all(report.notes[name].values()), name
+
+
+def _full_ambient_residuals(phi, d, hexagon_sign):
+    """Reference: the axiom residual logs at phi's own ambient, not at d."""
+    phi = _tder_cap(phi, d)
+
+    def ext(pattern, arity):
+        return tder_extend(phi, pattern, arity)
+
+    t = _braid_tders(phi.degree)
+    half = Fraction(hexagon_sign, 2)
+    duality = _bch_chain([ext("3,2,1", 3), ext("1,2,3", 3)], d)
+    lhs = _bch_chain([ext("1,2,34", 4), ext("12,3,4", 4)], d)
+    rhs = _bch_chain([ext("2,3,4", 4), ext("1,23,4", 4), ext("1,2,3", 4)], d)
+    pentagon = tder_bch(-rhs, lhs, d)
+    lhs = _bch_chain([
+        t["t12"].scale(half), ext("3,1,2", 3),
+        t["t13"].scale(half), ext("2,3,1", 3),
+        t["t23"].scale(half), ext("1,2,3", 3)], d)
+    central = (t["t12"] + t["t13"] + t["t23"]).scale(half)
+    hexagon = tder_bch(-central, lhs, d)
+    return {"duality": duality, "pentagon": pentagon, "hexagon": hexagon}
+
+
+SOLVES = [("even", 1), ("even", -1), ("unconstrained", 1), ("unconstrained", -1)]
+
+
+@pytest.mark.parametrize("parity,sign", SOLVES)
+def test_operator_columns_match_finite_differences(parity, sign):
+    log = solve_associator(3, parity, sign)[0].log
+    for d in (2, 3):
+        phi = _tder_cap(log, d - 1)
+        r0 = _residual_vector(_full_ambient_residuals(phi, d, sign), d)
+        columns = []
+        for _lbl, e in braid_bracket_basis(3, d, log.degree):
+            r = _residual_vector(_full_ambient_residuals(phi + e, d, sign), d)
+            columns.append(
+                _residual_vector(_linear_residuals(_reambient(e, d)), d))
+            assert columns[-1] == [ri - r0i for ri, r0i in zip(r, r0)]
+        assert any(any(c) for c in columns)
+
+
+@pytest.mark.parametrize("parity,sign", SOLVES)
+def test_graded_residual_matches_full_ambient(parity, sign):
+    log = solve_associator(3, parity, sign)[0].log
+    steps = [e for d in (1, 2, 3)
+             for _lbl, e in braid_bracket_basis(3, d, log.degree)[:1]]
+    for phi in [log] + [log + e for e in steps]:
+        for d in (1, 2, 3):
+            graded = _log_residuals(phi, d, sign)
+            full = _full_ambient_residuals(phi, d, sign)
+            for name in ("duality", "pentagon", "hexagon"):
+                assert graded[name].degree == d
+                for k in range(1, d + 1):
+                    assert tder_coords(graded[name], k) == \
+                        tder_coords(full[name], k), (name, d, k)
+
+
+def test_unconstrained_nullity_is_grt1_dimension():
+    # the kernel of the linearised axioms in degree d is grt_1 in degree
+    # d: zero in degrees 1, 2 and 4, and spanned by sigma_3 in degree 3
+    _cand, report = solve_associator(4, "unconstrained")
+    assert [r.dimension - r.rank for r in report.records] == [0, 0, 1, 0]
+    assert report.all_zero()
