@@ -6,10 +6,10 @@ so equality of cyclic series is plain table equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping
+from typing import Dict
 
 from .lie import LieSeries, bch_xy, j_coefficients
-from .words import _ZERO, Alphabet, AmbientMismatch, AssocSeries, Word, _as_fraction
+from .words import _ZERO, Alphabet, AssocSeries, Series, Word
 
 
 def canonical_rotation(word: Word) -> Word:
@@ -21,113 +21,20 @@ def canonical_rotation(word: Word) -> Word:
     return min(doubled[i:i + n] for i in range(n))
 
 
-class CycSeries:
+class CycSeries(Series):
     """Element of cy_n: rational combination of necklaces, truncated."""
 
-    __slots__ = ("alphabet", "degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, degree: int,
-                 coeffs: Mapping[Word, Fraction] | None = None):
-        if degree < 1:
-            raise ValueError("truncation order must be >= 1")
-        self.alphabet = alphabet
-        self.degree = degree
-        table: Dict[Word, Fraction] = {}
-        if coeffs:
-            for word, c in coeffs.items():
-                word = tuple(word)
-                if len(word) > degree:
-                    continue
-                c = _as_fraction(c)
-                if c:
-                    if any(i < 0 or i >= alphabet.n for i in word):
-                        raise ValueError(f"necklace {word} outside alphabet")
-                    if word != canonical_rotation(word):
-                        raise ValueError(f"{word} is not rotation-minimal")
-                    table[word] = c
-        self.coeffs = table
+    @staticmethod
+    def _check_key(word: Word) -> None:
+        if word != canonical_rotation(word):
+            raise ValueError(f"{word} is not rotation-minimal")
 
-    @classmethod
-    def _trusted(cls, alphabet: Alphabet, degree: int,
-                 table: Mapping[Word, Fraction]) -> "CycSeries":
-        """Wrap a table keyed by necklaces no longer than ``degree``.
+    _key = staticmethod(canonical_rotation)
 
-        The keys must already be rotation-minimal and the values
-        Fractions; only zeros are dropped.
-        """
-        self = object.__new__(cls)
-        self.alphabet = alphabet
-        self.degree = degree
-        self.coeffs = {w: c for w, c in table.items() if c}
-        return self
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet, degree: int) -> "CycSeries":
-        return cls(alphabet, degree, {})
-
-    def _check_same(self, other: "CycSeries"):
-        if self.alphabet != other.alphabet or self.degree != other.degree:
-            raise AmbientMismatch("cyclic series over different ambients")
-
-    def __eq__(self, other):
-        if not isinstance(other, CycSeries):
-            return NotImplemented
-        return (self.alphabet == other.alphabet and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.degree, frozenset(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<CycSeries 0>"
-        bits = []
-        for word in sorted(self.coeffs, key=lambda w: (len(w), w)):
-            bits.append(f"{self.coeffs[word]}*tr({self.alphabet.word_name(word)})")
-        return "<CycSeries " + " + ".join(bits) + ">"
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.coeffs.get(canonical_rotation(tuple(word)), Fraction(0))
-
-    def homogeneous(self, d: int) -> "CycSeries":
-        return CycSeries._trusted(
-            self.alphabet, self.degree,
-            {w: c for w, c in self.coeffs.items() if len(w) == d})
-
-    def truncated(self, degree: int) -> "CycSeries":
-        if degree < 1:
-            raise ValueError("truncation order must be >= 1")
-        return CycSeries._trusted(
-            self.alphabet, degree,
-            {w: c for w, c in self.coeffs.items() if len(w) <= degree})
-
-    def __add__(self, other: "CycSeries") -> "CycSeries":
-        self._check_same(other)
-        table = dict(self.coeffs)
-        get = table.get
-        for w, c in other.coeffs.items():
-            table[w] = get(w, _ZERO) + c
-        return CycSeries._trusted(self.alphabet, self.degree, table)
-
-    def __neg__(self) -> "CycSeries":
-        return CycSeries._trusted(self.alphabet, self.degree,
-                                  {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "CycSeries") -> "CycSeries":
-        self._check_same(other)
-        table = dict(self.coeffs)
-        get = table.get
-        for w, c in other.coeffs.items():
-            table[w] = get(w, _ZERO) - c
-        return CycSeries._trusted(self.alphabet, self.degree, table)
-
-    def scale(self, c) -> "CycSeries":
-        c = _as_fraction(c)
-        return CycSeries._trusted(self.alphabet, self.degree,
-                                  {w: c * v for w, v in self.coeffs.items()})
+    def _term(self, word: Word) -> str:
+        return f"tr({self.alphabet.word_name(word)})"
 
     def representative(self) -> AssocSeries:
         """One word per necklace; tr_project of it gives the series back."""

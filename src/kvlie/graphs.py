@@ -102,12 +102,6 @@ def _node(a: Shape, b: Shape) -> Shape:
     return (1,) + tuple(sorted((a, b), key=_shape_key))
 
 
-def _internal_count(shape: Shape) -> int:
-    if shape[0] == 0:
-        return 0
-    return 1 + _internal_count(shape[1]) + _internal_count(shape[2])
-
-
 def _has_multiedge(shape: Shape) -> bool:
     """An internal vertex with two same-colored leaf children would carry
     two edges to the same ground vertex."""
@@ -147,27 +141,25 @@ def _shape_symbol(shape: Shape, degree: int) -> LieSeries:
     return _shape_symbol(shape[1], degree).bracket(_shape_symbol(shape[2], degree))
 
 
+def _walk(shape: Shape, edges: List[Edge], last: int) -> Tuple[Vertex, int]:
+    """Number the internal vertices of ``shape`` depth-first, root first,
+    from ``last + 1``; each vertex appends its two child edges to ``edges``
+    consecutively.  Returns the root vertex and the last number used."""
+    if shape[0] == 0:
+        return GROUNDS[shape[1]], last
+    v = last + 1
+    slot = len(edges)
+    edges.extend([None, None])
+    left, last = _walk(shape[1], edges, v)
+    right, last = _walk(shape[2], edges, last)
+    edges[slot] = (v, left)
+    edges[slot + 1] = (v, right)
+    return v, last
+
+
 def _shape_to_graph(shape: Shape) -> KGraph:
-    """Number internal vertices by depth-first order, root first; each
-    vertex contributes its two child edges consecutively."""
-    n = _internal_count(shape)
     edges: List[Edge] = []
-    counter = [0]
-
-    def walk(s: Shape) -> Vertex:
-        if s[0] == 0:
-            return GROUNDS[s[1]]
-        counter[0] += 1
-        v = counter[0]
-        slot = len(edges)
-        edges.extend([None, None])
-        left = walk(s[1])
-        right = walk(s[2])
-        edges[slot] = (v, left)
-        edges[slot + 1] = (v, right)
-        return v
-
-    walk(shape)
+    _root, n = _walk(shape, edges, 0)
     return KGraph(n, tuple(edges))
 
 
@@ -228,30 +220,16 @@ def _compositions(total: int, parts: int):
 def _wheel_to_graph(spokes: Tuple[Shape, ...]) -> KGraph:
     k = len(spokes)
     edges: List[Edge] = []
-    counter = [k]
-
-    def walk(s: Shape) -> Vertex:
-        if s[0] == 0:
-            return GROUNDS[s[1]]
-        counter[0] += 1
-        v = counter[0]
-        slot = len(edges)
-        edges.extend([None, None])
-        left = walk(s[1])
-        right = walk(s[2])
-        edges[slot] = (v, left)
-        edges[slot + 1] = (v, right)
-        return v
-
+    n = k
     spoke_targets = []
     for s in spokes:
-        spoke_targets.append(walk(s))
+        target, n = _walk(s, edges, n)
+        spoke_targets.append(target)
     cycle_edges: List[Edge] = []
     for i in range(1, k + 1):
         nxt = i % k + 1
         cycle_edges.append((i, nxt))
         cycle_edges.append((i, spoke_targets[i - 1]))
-    n = counter[0]
     return KGraph(n, tuple(cycle_edges + edges))
 
 

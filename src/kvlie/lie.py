@@ -10,58 +10,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .lyndon import bracket_expansion, bracket_structure, is_lyndon, lyndon_basis
-from .words import (_ZERO, AmbientMismatch, Alphabet, AssocSeries,
-                    NotPrimitiveError, Word, _as_fraction)
+from .words import _ZERO, Alphabet, AssocSeries, NotPrimitiveError, Series, Word
 
 
-class LieSeries:
+class LieSeries(Series):
     """Element of the truncated free Lie algebra on ``alphabet``."""
 
-    __slots__ = ("alphabet", "degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, degree: int,
-                 coeffs: Mapping[Word, Fraction] | None = None):
-        if degree < 1:
-            raise ValueError("truncation order must be >= 1")
-        self.alphabet = alphabet
-        self.degree = degree
-        table: Dict[Word, Fraction] = {}
-        if coeffs:
-            for word, c in coeffs.items():
-                word = tuple(word)
-                if len(word) > degree:
-                    continue
-                c = _as_fraction(c)
-                if c:
-                    if not is_lyndon(word):
-                        raise ValueError(f"{word} is not a Lyndon word")
-                    if any(i < 0 or i >= alphabet.n for i in word):
-                        raise ValueError(f"word {word} outside alphabet")
-                    table[word] = c
-        self.coeffs = table
+    @staticmethod
+    def _check_key(word: Word) -> None:
+        if not is_lyndon(word):
+            raise ValueError(f"{word} is not a Lyndon word")
 
-    @classmethod
-    def _trusted(cls, alphabet: Alphabet, degree: int,
-                 table: Mapping[Word, Fraction]) -> "LieSeries":
-        """Wrap a table built from valid series over the same ambient.
-
-        The keys must already be Lyndon words over the alphabet no longer
-        than ``degree`` and the values Fractions; only zeros are dropped.
-        """
-        self = object.__new__(cls)
-        self.alphabet = alphabet
-        self.degree = degree
-        self.coeffs = {w: c for w, c in table.items() if c}
-        return self
+    def _term(self, word: Word) -> str:
+        return f"[{self.alphabet.word_name(word)}]"
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet, degree: int) -> "LieSeries":
-        return cls(alphabet, degree, {})
 
     @classmethod
     def generator(cls, alphabet: Alphabet, degree: int, i: int) -> "LieSeries":
@@ -72,79 +40,6 @@ class LieSeries:
     @classmethod
     def generators(cls, alphabet: Alphabet, degree: int) -> List["LieSeries"]:
         return [cls.generator(alphabet, degree, i) for i in range(alphabet.n)]
-
-    # -- plumbing -----------------------------------------------------
-
-    def _check_same(self, other: "LieSeries"):
-        if self.alphabet != other.alphabet or self.degree != other.degree:
-            raise AmbientMismatch(
-                f"ambient mismatch: ({self.alphabet}, N={self.degree}) vs "
-                f"({other.alphabet}, N={other.degree})")
-
-    def __eq__(self, other):
-        if not isinstance(other, LieSeries):
-            return NotImplemented
-        return (self.alphabet == other.alphabet and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.degree, frozenset(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<LieSeries 0>"
-        bits = []
-        for word in sorted(self.coeffs, key=lambda w: (len(w), w)):
-            bits.append(f"{self.coeffs[word]}*[{self.alphabet.word_name(word)}]")
-        return "<LieSeries " + " + ".join(bits) + ">"
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.coeffs.get(tuple(word), Fraction(0))
-
-    def homogeneous(self, d: int) -> "LieSeries":
-        return LieSeries._trusted(
-            self.alphabet, self.degree,
-            {w: c for w, c in self.coeffs.items() if len(w) == d})
-
-    def min_degree(self) -> int | None:
-        return min((len(w) for w in self.coeffs), default=None)
-
-    def truncated(self, degree: int) -> "LieSeries":
-        if degree < 1:
-            raise ValueError("truncation order must be >= 1")
-        return LieSeries._trusted(
-            self.alphabet, degree,
-            {w: c for w, c in self.coeffs.items() if len(w) <= degree})
-
-    # -- linear structure ---------------------------------------------
-
-    def __add__(self, other: "LieSeries") -> "LieSeries":
-        self._check_same(other)
-        table = dict(self.coeffs)
-        get = table.get
-        for w, c in other.coeffs.items():
-            table[w] = get(w, _ZERO) + c
-        return LieSeries._trusted(self.alphabet, self.degree, table)
-
-    def __neg__(self) -> "LieSeries":
-        return LieSeries._trusted(self.alphabet, self.degree,
-                                  {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LieSeries") -> "LieSeries":
-        self._check_same(other)
-        table = dict(self.coeffs)
-        get = table.get
-        for w, c in other.coeffs.items():
-            table[w] = get(w, _ZERO) - c
-        return LieSeries._trusted(self.alphabet, self.degree, table)
-
-    def scale(self, c) -> "LieSeries":
-        c = _as_fraction(c)
-        return LieSeries._trusted(self.alphabet, self.degree,
-                                  {w: c * v for w, v in self.coeffs.items()})
 
     # -- conversions ---------------------------------------------------
 

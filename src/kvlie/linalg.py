@@ -42,48 +42,44 @@ def rank(rows: Matrix) -> int:
     return len(_rref(rows)[1])
 
 
-def solve_affine(a: Matrix, b: Vector) -> Tuple[Optional[Vector], List[Vector]]:
-    """All solutions of A x = b as (particular, nullspace basis).
-
-    Returns (None, basis) when the system is inconsistent.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    rref, pivots = _rref(aug)
-    if n in pivots:
-        null = nullspace(a)
-        return None, null
-    particular = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        particular[c] = rref[r][n]
-    free = [c for c in range(n) if c not in pivots]
+def _free_basis(rref: Matrix, pivots: Sequence[int], n: int) -> List[Vector]:
+    """Kernel basis of the first n columns of an RREF, one vector per free
+    column.  Pivots at column n or beyond (an augmented column) are ignored:
+    the first n columns of the RREF of [A | b] are the RREF of A."""
+    pivots = [c for c in pivots if c < n]
     basis: List[Vector] = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][fc]
-        basis.append(vec)
-    return particular, basis
-
-
-def nullspace(a: Matrix) -> List[Vector]:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                for i in range(n)]
-    rref, pivots = _rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis: List[Vector] = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -rref[r][fc]
         basis.append(vec)
     return basis
+
+
+def solve_affine(a: Matrix, b: Vector) -> Tuple[Optional[Vector], List[Vector]]:
+    """All solutions of A x = b as (particular, nullspace basis).
+
+    Returns (None, basis) when the system is inconsistent.
+    """
+    n = len(a[0]) if a else 0
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    rref, pivots = _rref(aug)
+    basis = _free_basis(rref, pivots, n)
+    if n in pivots:
+        return None, basis
+    particular = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        particular[c] = rref[r][n]
+    return particular, basis
+
+
+def nullspace(a: Matrix) -> List[Vector]:
+    n = len(a[0]) if a else 0
+    rref, pivots = _rref(a)
+    return _free_basis(rref, pivots, n)
 
 
 def solve_unique(a: Matrix, b: Vector) -> Vector:

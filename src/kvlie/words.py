@@ -5,9 +5,11 @@ alphabet and a hard truncation order; all products silently drop terms of
 total degree above the truncation, and mixing different ambients is an
 error, never a coercion.
 
-Series are validated once, by the public constructors here and in
-``lie`` and ``cyclic``.  Arithmetic on valid series builds its result
-through the private ``_trusted`` constructor, which only drops zeros.
+Word, Lie and cyclic series share one base class, ``Series``, and are
+validated once: ``Series.__init__`` is the public constructor of every
+kind, and each kind adds only its own key check.  Arithmetic on valid
+series builds its result through the private ``_trusted`` constructor,
+which only drops zeros.
 """
 from __future__ import annotations
 
@@ -80,23 +82,24 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
-class AssocSeries:
-    """Finitely supported word -> rational table, truncated at ``degree``.
+class Series:
+    """Finitely supported key -> rational table, truncated at ``degree``.
 
-    ``unital`` records whether the empty word is permitted (the unit of the
-    full algebra) or excluded (augmentation ideal).
+    The linear structure shared by word, Lie and cyclic series.  A kind of
+    series names its keys through three hooks: ``_check_key`` refuses a
+    key in the public constructor, ``_key`` normalises the word given to
+    ``coefficient``, and ``_term`` renders one key in the repr.  Series of
+    different kinds never compare equal, even with the same table.
     """
 
-    __slots__ = ("alphabet", "degree", "coeffs", "unital")
+    __slots__ = ("alphabet", "degree", "coeffs")
 
     def __init__(self, alphabet: Alphabet, degree: int,
-                 coeffs: Mapping[Word, Fraction] | None = None,
-                 unital: bool = True):
+                 coeffs: Mapping[Word, Fraction] | None = None):
         if degree < 1:
             raise ValueError("truncation order must be >= 1")
         self.alphabet = alphabet
         self.degree = degree
-        self.unital = unital
         table: Dict[Word, Fraction] = {}
         if coeffs:
             for word, c in coeffs.items():
@@ -107,55 +110,51 @@ class AssocSeries:
                 if c:
                     if any(i < 0 or i >= alphabet.n for i in word):
                         raise ValueError(f"word {word} outside alphabet")
+                    self._check_key(word)
                     table[word] = c
-        if not unital and () in table:
-            raise ValueError("augmentation-ideal series cannot carry the empty word")
         self.coeffs = table
 
     @classmethod
     def _trusted(cls, alphabet: Alphabet, degree: int,
-                 table: Mapping[Word, Fraction]) -> "AssocSeries":
+                 table: Mapping[Word, Fraction]) -> "Series":
         """Wrap a table built from valid series over the same ambient.
 
-        The keys must already be in-alphabet words no longer than
-        ``degree`` and the values Fractions; only zeros are dropped.  The
-        result is unital, like every arithmetic result.
+        The keys must already be in-alphabet keys of this kind no longer
+        than ``degree`` and the values Fractions; only zeros are dropped.
         """
         self = object.__new__(cls)
         self.alphabet = alphabet
         self.degree = degree
-        self.unital = True
         self.coeffs = {w: c for w, c in table.items() if c}
         return self
 
-    # -- constructors -------------------------------------------------
+    # -- key hooks ----------------------------------------------------
 
-    @classmethod
-    def zero(cls, alphabet: Alphabet, degree: int) -> "AssocSeries":
-        return cls(alphabet, degree, {})
+    def _check_key(self, word: Word) -> None:
+        """Raise ValueError if the public constructor must refuse ``word``."""
 
-    @classmethod
-    def one(cls, alphabet: Alphabet, degree: int) -> "AssocSeries":
-        return cls(alphabet, degree, {(): Fraction(1)})
+    @staticmethod
+    def _key(word: Word) -> Word:
+        """The table key that ``coefficient`` reads for ``word``."""
+        return word
 
-    @classmethod
-    def generator(cls, alphabet: Alphabet, degree: int, i: int) -> "AssocSeries":
-        if not 0 <= i < alphabet.n:
-            raise ValueError(f"generator index {i} out of range")
-        return cls(alphabet, degree, {(i,): Fraction(1)})
+    def _term(self, word: Word) -> str:
+        return self.alphabet.word_name(word)
 
     # -- plumbing -----------------------------------------------------
 
-    def _check_same(self, other: "AssocSeries"):
-        if self.alphabet != other.alphabet:
+    @classmethod
+    def zero(cls, alphabet: Alphabet, degree: int) -> "Series":
+        return cls(alphabet, degree, {})
+
+    def _check_same(self, other: "Series"):
+        if self.alphabet != other.alphabet or self.degree != other.degree:
             raise AmbientMismatch(
-                f"alphabet mismatch: {self.alphabet} vs {other.alphabet}")
-        if self.degree != other.degree:
-            raise AmbientMismatch(
-                f"truncation mismatch: {self.degree} vs {other.degree}")
+                f"ambient mismatch: ({self.alphabet}, N={self.degree}) vs "
+                f"({other.alphabet}, N={other.degree})")
 
     def __eq__(self, other):
-        if not isinstance(other, AssocSeries):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.alphabet == other.alphabet and self.degree == other.degree
                 and self.coeffs == other.coeffs)
@@ -167,64 +166,112 @@ class AssocSeries:
         return bool(self.coeffs)
 
     def __repr__(self):
+        name = type(self).__name__
         if not self.coeffs:
-            return "<AssocSeries 0>"
-        bits = []
-        for word in sorted(self.coeffs, key=lambda w: (len(w), w)):
-            name = self.alphabet.word_name(word) or "1"
-            bits.append(f"{self.coeffs[word]}*{name}")
-        return "<AssocSeries " + " + ".join(bits) + ">"
+            return f"<{name} 0>"
+        bits = [f"{self.coeffs[w]}*{self._term(w)}"
+                for w in sorted(self.coeffs, key=lambda w: (len(w), w))]
+        return f"<{name} " + " + ".join(bits) + ">"
 
     def coefficient(self, word: Word) -> Fraction:
-        return self.coeffs.get(tuple(word), Fraction(0))
+        return self.coeffs.get(self._key(tuple(word)), _ZERO)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get((), Fraction(0))
-
-    def homogeneous(self, d: int) -> "AssocSeries":
-        return AssocSeries._trusted(
+    def homogeneous(self, d: int) -> "Series":
+        return self._trusted(
             self.alphabet, self.degree,
             {w: c for w, c in self.coeffs.items() if len(w) == d})
 
     def min_degree(self) -> int | None:
         return min((len(w) for w in self.coeffs), default=None)
 
-    def truncated(self, degree: int) -> "AssocSeries":
+    def truncated(self, degree: int) -> "Series":
         if degree < 1:
             raise ValueError("truncation order must be >= 1")
-        out = AssocSeries._trusted(
+        return self._trusted(
             self.alphabet, degree,
             {w: c for w, c in self.coeffs.items() if len(w) <= degree})
-        out.unital = self.unital
-        return out
 
-    # -- arithmetic ---------------------------------------------------
+    # -- linear structure ---------------------------------------------
 
-    def __add__(self, other: "AssocSeries") -> "AssocSeries":
+    def __add__(self, other: "Series") -> "Series":
         self._check_same(other)
         table = dict(self.coeffs)
         get = table.get
         for w, c in other.coeffs.items():
             table[w] = get(w, _ZERO) + c
-        return AssocSeries._trusted(self.alphabet, self.degree, table)
+        return self._trusted(self.alphabet, self.degree, table)
 
-    def __neg__(self) -> "AssocSeries":
-        return AssocSeries._trusted(self.alphabet, self.degree,
-                                    {w: -c for w, c in self.coeffs.items()})
+    def __neg__(self) -> "Series":
+        return self._trusted(self.alphabet, self.degree,
+                             {w: -c for w, c in self.coeffs.items()})
 
-    def __sub__(self, other: "AssocSeries") -> "AssocSeries":
+    def __sub__(self, other: "Series") -> "Series":
         self._check_same(other)
         table = dict(self.coeffs)
         get = table.get
         for w, c in other.coeffs.items():
             table[w] = get(w, _ZERO) - c
-        return AssocSeries._trusted(self.alphabet, self.degree, table)
+        return self._trusted(self.alphabet, self.degree, table)
 
-    def scale(self, c) -> "AssocSeries":
+    def scale(self, c) -> "Series":
         c = _as_fraction(c)
-        return AssocSeries._trusted(self.alphabet, self.degree,
-                                    {w: c * v for w, v in self.coeffs.items()})
+        return self._trusted(self.alphabet, self.degree,
+                             {w: c * v for w, v in self.coeffs.items()})
+
+
+class AssocSeries(Series):
+    """Series keyed by words: the truncated free associative algebra.
+
+    ``unital`` records whether the empty word is permitted (the unit of the
+    full algebra) or excluded (augmentation ideal).
+    """
+
+    __slots__ = ("unital",)
+
+    def __init__(self, alphabet: Alphabet, degree: int,
+                 coeffs: Mapping[Word, Fraction] | None = None,
+                 unital: bool = True):
+        self.unital = unital
+        super().__init__(alphabet, degree, coeffs)
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, degree: int,
+                 table: Mapping[Word, Fraction]) -> "AssocSeries":
+        """Like ``Series._trusted``; the result is unital, like every
+        arithmetic result."""
+        self = super()._trusted(alphabet, degree, table)
+        self.unital = True
+        return self
+
+    def _check_key(self, word: Word) -> None:
+        if not word and not self.unital:
+            raise ValueError("augmentation-ideal series cannot carry the empty word")
+
+    def _term(self, word: Word) -> str:
+        return self.alphabet.word_name(word) or "1"
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def one(cls, alphabet: Alphabet, degree: int) -> "AssocSeries":
+        return cls(alphabet, degree, {(): Fraction(1)})
+
+    @classmethod
+    def generator(cls, alphabet: Alphabet, degree: int, i: int) -> "AssocSeries":
+        if not 0 <= i < alphabet.n:
+            raise ValueError(f"generator index {i} out of range")
+        return cls(alphabet, degree, {(i,): Fraction(1)})
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.coeffs.get((), Fraction(0))
+
+    def truncated(self, degree: int) -> "AssocSeries":
+        out = super().truncated(degree)
+        out.unital = self.unital
+        return out
+
+    # -- products -----------------------------------------------------
 
     def __mul__(self, other: "AssocSeries") -> "AssocSeries":
         self._check_same(other)

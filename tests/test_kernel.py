@@ -6,6 +6,7 @@ public checks still reject bad input, and no arithmetic result carries a
 zero coefficient, an over-long word or a key the public constructor would
 refuse.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,15 @@ def test_augmentation_ideal_rejects_unit():
         AssocSeries(A2, 3, {(): Fraction(1)}, unital=False)
 
 
+@pytest.mark.parametrize("first, second",
+                         list(itertools.combinations([AssocSeries, LieSeries, CycSeries], 2)))
+def test_kinds_with_the_same_table_are_unequal(first, second):
+    table = {(0,): Fraction(1), (0, 1): Fraction(-2, 3)}
+    a, b = first(A2, 3, table), second(A2, 3, table)
+    assert a.coeffs == b.coeffs
+    assert a != b and b != a
+
+
 # -- arithmetic results ---------------------------------------------------
 
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -69,8 +79,12 @@ def assoc_series(draw, n, degree, unital=False):
     return AssocSeries(Alphabet(n), degree, table, unital=unital)
 
 
-def assert_clean(s, degree):
-    """Every key valid for its kind, no zero, nothing above the truncation."""
+def assert_clean(s, degree, kind, unital=True):
+    """Exactly of class ``kind``, every key valid for it, no zero, nothing
+    above the truncation; a word series has the given ``unital`` flag."""
+    assert type(s) is kind
+    if kind is AssocSeries:
+        assert s.unital is unital
     assert s.degree == degree
     for w, c in s.coeffs.items():
         assert isinstance(c, Fraction) and c != 0
@@ -91,15 +105,18 @@ def test_assoc_and_cyclic_results_are_clean(data, n, degree):
     b = data.draw(assoc_series(n, degree))
     c = data.draw(fractions)
     images = [data.draw(assoc_series(n, degree)) for _ in range(n)]
-    results = [a + b, a - b, a - a, a + (-a), -a, a.scale(c), a.scale(0),
-               a * b, a.commutator(b), a.homogeneous(degree), a.exp(),
-               a.exp().log(), a.substitute(images),
-               partial_decompose(a, 0)]
     ta, tb = tr_project(a), tr_project(b)
-    results += [ta, ta + tb, ta - tb, ta - ta, -ta, ta.scale(c),
-                ta.homogeneous(degree)]
-    for r in results:
-        assert_clean(r, degree)
+    results = {
+        AssocSeries: [a + b, a - b, a - a, a + (-a), -a, a.scale(c), a.scale(0),
+                      a * b, a.commutator(b), a.homogeneous(degree), a.exp(),
+                      a.exp().log(), a.substitute(images),
+                      partial_decompose(a, 0)],
+        CycSeries: [ta, ta + tb, ta - tb, ta - ta, -ta, ta.scale(c),
+                    ta.homogeneous(degree)],
+    }
+    for kind, rs in results.items():
+        for r in rs:
+            assert_clean(r, degree, kind)
 
 
 @st.composite
@@ -118,13 +135,17 @@ def test_lie_and_derivation_results_are_clean(data, n, degree):
     u = TDer([data.draw(lie_series(n, degree)) for _ in range(n)])
     images = [data.draw(lie_series(n, degree)) for _ in range(n)]
     cyc = tr_project(a.to_assoc() * b.to_assoc())
-    results = [a + b, a - b, a - a, -a, a.scale(c), a.scale(0),
-               a.homogeneous(degree), a.to_assoc(), a.bracket(b),
-               LieSeries.from_assoc(a.to_assoc()), a.substitute(images),
-               u.apply(a), u.apply(a.to_assoc()), u.apply(cyc),
-               *u.generator_images()]
-    for r in results:
-        assert_clean(r, degree)
+    results = {
+        LieSeries: [a + b, a - b, a - a, -a, a.scale(c), a.scale(0),
+                    a.homogeneous(degree), a.bracket(b),
+                    LieSeries.from_assoc(a.to_assoc()), a.substitute(images),
+                    u.apply(a)],
+        AssocSeries: [a.to_assoc(), u.apply(a.to_assoc()), *u.generator_images()],
+        CycSeries: [u.apply(cyc)],
+    }
+    for kind, rs in results.items():
+        for r in rs:
+            assert_clean(r, degree, kind)
     assert LieSeries.from_assoc(a.to_assoc()) == a
 
 
@@ -137,7 +158,7 @@ def test_truncated_matches_public_constructor(data, n, degree, cut):
     for s in (a, b, tr_project(a - a.homogeneous(0))):
         t = s.truncated(cut)
         assert t == type(s)(s.alphabet, cut, s.coeffs)
-        assert_clean(t, cut)  # no word beyond the cut
+        assert_clean(t, cut, type(s), unital)  # no word beyond the cut
     assert a.truncated(cut).unital is unital
 
 

@@ -27,13 +27,26 @@ def test_solve_affine_consistency():
         assert matvec(a, sol) == b
         for v in basis:
             assert matvec(a, v) == [Fraction(0)] * len(a)
+        assert basis == linalg.nullspace(a)
 
 
 def test_solve_affine_inconsistent():
     a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
     b = [Fraction(1), Fraction(2)]
-    sol, _basis = linalg.solve_affine(a, b)
+    sol, basis = linalg.solve_affine(a, b)
     assert sol is None
+    assert basis == linalg.nullspace(a)
+    rng = random.Random(44)
+    for _ in range(25):
+        a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+        # the last row is the sum of the first and the previous last, the
+        # last entry of b is not
+        a.append([u + v for u, v in zip(a[0], a[-1])])
+        b = [Fraction(rng.randint(-3, 3)) for _ in a[:-1]]
+        b.append(b[0] + b[-1] + 1)
+        sol, basis = linalg.solve_affine(a, b)
+        assert sol is None
+        assert basis == linalg.nullspace(a)
 
 
 def test_rank_and_nullspace_dimensions():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from kvlie.cyclic import CycSeries
+from kvlie.lie import LieSeries
 from kvlie.words import Alphabet, AmbientMismatch, AssocSeries
 
 
@@ -36,11 +38,14 @@ def test_float_coefficients_rejected():
         AssocSeries(A2, 3, {(0,): 0.5})
 
 
-def test_ambient_mismatch():
-    s = AssocSeries(A2, 3, {(0,): Fraction(1)})
-    t = AssocSeries(A2, 4, {(0,): Fraction(1)})
-    with pytest.raises(AmbientMismatch):
-        s + t
+@pytest.mark.parametrize("cls", [AssocSeries, LieSeries, CycSeries])
+def test_ambient_mismatch(cls):
+    s = cls(A2, 3, {(0,): Fraction(1)})
+    for t in (cls(A2, 4, {(0,): Fraction(1)}), cls(Alphabet(3), 3, {(0,): Fraction(1)})):
+        with pytest.raises(AmbientMismatch):
+            s + t
+        with pytest.raises(AmbientMismatch):
+            s - t
 
 
 def test_mul_associative_randomized():
