@@ -4,6 +4,8 @@ The pinned outputs in tests/golden/ are the correctness gate for kernel
 refactors: a change that keeps the algebra intact leaves every byte alone.
 kv-solve is pinned only below degree 4; its output from degree 4 on is
 known to be wrong and will change when the KV solver is fixed.
+``assoc_element_d3.json`` is the ``element`` of ``assoc-solve --degree 3``,
+the input of the two ``check`` cases.
 """
 import subprocess
 import sys
@@ -22,6 +24,9 @@ CASES = {
     "graphs_wheel_5": ["graphs", "--type", "wheel", "--count", "5"],
     "braid_12_of_3": ["braid", "--i", "1", "--j", "2", "--strands", "3"],
     "membership_d3": ["membership", "--input", str(GOLDEN / "membership_input.json")],
+    "check_all_d3": ["check", "all", "--input", str(GOLDEN / "assoc_element_d3.json")],
+    "check_pentagon_d3": ["check", "pentagon", "--input",
+                          str(GOLDEN / "assoc_element_d3.json")],
 }
 
 
