@@ -63,6 +63,8 @@ def _load_tder(path: str):
 
 def _load_taut(path: str):
     doc = _read_json(path)
+    if isinstance(doc.get("element"), dict):  # assoc-solve output
+        doc = doc["element"]
     if "images" in doc:
         return serialize.decode_taut(doc)
     if "components" in doc:
@@ -166,7 +168,7 @@ def _cmd_check(args):
             raise CheckFailed("a symmetry identity fails")
         return
     if args.phi == "trivial":
-        degree = args.degree or 4
+        degree = 4 if args.degree is None else args.degree
         element = TAutElem.identity(Alphabet(3), degree + 1)
     elif args.input:
         element = _load_taut(args.input)

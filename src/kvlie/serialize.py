@@ -14,7 +14,7 @@ from .cyclic import CycSeries
 from .derivations import DerivationFlags, TDer
 from .graphs import KGraph
 from .lie import LieSeries
-from .automorphisms import TAutElem
+from .automorphisms import TAutElem, taut_exp
 from .weights import WeightEstimate
 from .words import Alphabet, AssocSeries
 
@@ -112,11 +112,17 @@ def encode_taut(g: TAutElem) -> Dict[str, Any]:
 
 
 def decode_taut(doc: Dict[str, Any]) -> TAutElem:
+    """The images are checked tangential: by exponentiating the carried
+    log, which must reproduce them, or else image by image."""
     _require(doc, "automorphism", n=int, images=list)
     n = doc["n"]
     images = [decode_series(im, "lie", n) for im in doc["images"]]
-    log = decode_tder(doc["log"]) if doc.get("log") else None
-    return TAutElem(images, log_certificate=log)
+    if not doc.get("log"):
+        return TAutElem(images)
+    log = decode_tder(doc["log"])
+    if taut_exp(log).images != tuple(images):
+        raise ValueError("automorphism 'log' does not exponentiate to its 'images'")
+    return TAutElem(images, log_certificate=log, check=False)
 
 
 def encode_flags(f: DerivationFlags) -> Dict[str, Any]:

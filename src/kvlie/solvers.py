@@ -264,41 +264,40 @@ def _compose_all(elems: Sequence[TAutElem]) -> TAutElem:
     return out
 
 
-def _axiom_residuals(phi: TDer, degree: int, hexagon_sign: int,
-                     extend_group_level: bool = False) -> Dict[str, TDer]:
-    """Exact log-residuals of duality, pentagon (arity 4) and hexagon.
+def _axiom_residuals(phi: TDer, degree: int, wanted: Sequence[str]) -> Dict[str, TDer]:
+    """Exact log-residuals of the wanted axioms, extended at the group level.
 
-    extend_group_level picks the checker path (extend the automorphism)
-    instead of the solver path (extend the log, then exponentiate).
-
-    A derivation-degree-d log term first shows up in generator images at
+    wanted holds report keys: duality, pentagon (arity 4), hexagon+ and
+    hexagon-; each residual is built once, and no other.  A
+    derivation-degree-d log term first shows up in generator images at
     word degree d + 1, so everything runs one order above ``degree``.
     """
     phi = _reambient(phi.truncated(degree), degree + 1)
     big = taut_exp(phi)
 
-    def ext(pattern, arity):
-        if extend_group_level:
-            return taut_extend(big, pattern, arity)
-        return taut_exp(tder_extend(phi, pattern, arity))
+    def ext(pattern, arity=3):
+        return taut_extend(big, pattern, arity)
 
-    t = _braid_tders(degree + 1)
-    half = Fraction(hexagon_sign, 2)
-
-    duality = taut_log(_compose_all([ext("3,2,1", 3), ext("1,2,3", 3)]))
-
-    lhs = _compose_all([ext("1,2,34", 4), ext("12,3,4", 4)])
-    rhs = _compose_all([ext("2,3,4", 4), ext("1,23,4", 4), ext("1,2,3", 4)])
-    pentagon = taut_log(taut_invert(rhs).compose(lhs))
-
-    lhs = _compose_all([
-        taut_exp(t["t12"].scale(half)), ext("3,1,2", 3),
-        taut_exp(t["t13"].scale(half)), ext("2,3,1", 3),
-        taut_exp(t["t23"].scale(half)), ext("1,2,3", 3)])
-    central = (t["t12"] + t["t13"] + t["t23"]).scale(half)
-    hexagon = taut_log(taut_invert(taut_exp(central)).compose(lhs))
-
-    return {"duality": duality, "pentagon": pentagon, "hexagon": hexagon}
+    out: Dict[str, TDer] = {}
+    hexagons = [key for key in ("hexagon+", "hexagon-") if key in wanted]
+    if "duality" in wanted or hexagons:
+        phi123 = ext("1,2,3")
+    if "duality" in wanted:
+        out["duality"] = taut_log(ext("3,2,1").compose(phi123))
+    if "pentagon" in wanted:
+        lhs = ext("1,2,34", 4).compose(ext("12,3,4", 4))
+        rhs = _compose_all([ext("2,3,4", 4), ext("1,23,4", 4), ext("1,2,3", 4)])
+        out["pentagon"] = taut_log(taut_invert(rhs).compose(lhs))
+    t = _braid_tders(degree + 1) if hexagons else {}
+    for key in hexagons:
+        half = Fraction(1 if key == "hexagon+" else -1, 2)
+        lhs = _compose_all([
+            taut_exp(t["t12"].scale(half)), ext("3,1,2"),
+            taut_exp(t["t13"].scale(half)), ext("2,3,1"),
+            taut_exp(t["t23"].scale(half)), phi123])
+        central = (t["t12"] + t["t13"] + t["t23"]).scale(half)
+        out[key] = taut_log(taut_exp(-central).compose(lhs))
+    return out
 
 
 def _log_residuals(phi: TDer, degree: int, hexagon_sign: int) -> Dict[str, TDer]:
@@ -417,36 +416,36 @@ def solve_associator(degree: int, parity: str = "even",
     return candidate, report
 
 
+_AXIOM_SELECTORS = {"duality": ("duality",), "pentagon": ("pentagon",),
+                    "hexagon": ("hexagon+",), "hexagon+": ("hexagon+",),
+                    "hexagon-": ("hexagon-",),
+                    "all": ("duality", "pentagon", "hexagon+", "hexagon-")}
+
+
 def check_associator_axioms(candidate, which: str = "all",
                             degree: Optional[int] = None) -> DegreeReport:
     """Re-check the axioms through the independent extend-then-compose path.
 
     ``candidate`` is an AssociatorCandidate or a TAutElem on 3 generators.
-    which: duality | pentagon | hexagon+ | hexagon- | all.
+    which: duality | pentagon | hexagon (the + sign) | hexagon+ | hexagon- | all.
+    degree: the log degree checked, 1 .. element.degree - 1 (the default).
     """
     element = candidate.element if isinstance(candidate, AssociatorCandidate) else candidate
     if element.alphabet.n != 3:
         raise ValueError("associator candidates live on 3 generators")
-    n_degree = degree or element.degree - 1
-    phi = taut_log(element).truncated(n_degree)
-    report = DegreeReport()
-    wanted = []
-    if which in ("all", "duality"):
-        wanted.append(("duality", 1))
-    if which in ("all", "pentagon"):
-        wanted.append(("pentagon", 1))
-    if which in ("all", "hexagon+"):
-        wanted.append(("hexagon+", 1))
-    if which in ("all", "hexagon-"):
-        wanted.append(("hexagon-", -1))
-    if which == "hexagon":
-        wanted.append(("hexagon+", 1))
-    if not wanted:
+    if which not in _AXIOM_SELECTORS:
         raise ValueError(f"unknown axiom selector {which!r}")
-    for name, sign in wanted:
-        res = _axiom_residuals(phi, n_degree, sign, extend_group_level=True)
-        key = "hexagon" if name.startswith("hexagon") else name
-        r = res[key]
+    wanted = _AXIOM_SELECTORS[which]
+    top = element.degree - 1
+    n_degree = top if degree is None else degree
+    if not 1 <= n_degree <= top:
+        raise ValueError(f"check degree {n_degree} outside 1..{top} for an "
+                         f"element truncated at {element.degree}")
+    phi = taut_log(element).truncated(n_degree)
+    residuals = _axiom_residuals(phi, n_degree, wanted)
+    report = DegreeReport()
+    for name in wanted:
+        r = residuals[name]
         for d in range(1, n_degree + 1):
             vec = tder_coords(r, d)
             report.records.append(DegreeRecord(d, len(vec), 0, not any(vec)))

@@ -2,7 +2,7 @@
 
 Words are tuples of 0-based generator indices.  Every series carries its
 alphabet and a hard truncation order; all products silently drop terms of
-total degree above the truncation, and mixing different ambients is an
+total degree above the truncation, and mixing kinds or ambients is an
 error, never a coercion.
 
 Word, Lie and cyclic series share one base class, ``Series``, and are
@@ -23,7 +23,7 @@ _DEFAULT_NAMES = ("x", "y", "z", "w")
 
 
 class AmbientMismatch(ValueError):
-    """Raised when two series disagree on alphabet or truncation order."""
+    """Raised when two series disagree on kind, alphabet or truncation order."""
 
 
 class NotPrimitiveError(ValueError):
@@ -148,6 +148,9 @@ class Series:
         return cls(alphabet, degree, {})
 
     def _check_same(self, other: "Series"):
+        if type(other) is not type(self):
+            raise AmbientMismatch(f"kind mismatch: {type(self).__name__} vs "
+                                  f"{type(other).__name__}")
         if self.alphabet != other.alphabet or self.degree != other.degree:
             raise AmbientMismatch(
                 f"ambient mismatch: ({self.alphabet}, N={self.degree}) vs "

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,49 @@ def test_check_duality_trivial_phi_passes():
     # the identity automorphism does satisfy the duality axiom
     res = run("check", "duality", "--phi", "trivial", "--degree", "2")
     assert res.returncode == 0
+
+
+ELEMENT_D3 = Path(__file__).parent / "golden" / "assoc_element_d3.json"
+
+
+def test_assoc_solve_pipes_into_check():
+    solved = run("assoc-solve", "--degree", "3")
+    assert solved.returncode == 0
+    res = run("check", "all", "--input", "-", stdin=solved.stdout)
+    assert res.returncode == 0, res.stderr
+    assert all(json.loads(res.stdout)["notes"].values())
+
+
+@pytest.mark.parametrize("args", [
+    ["--input", str(ELEMENT_D3), "--degree", "0"],
+    ["--input", str(ELEMENT_D3), "--degree", "4"],
+    ["--phi", "trivial", "--degree", "0"],
+], ids=["degree_0", "degree_above_element", "trivial_degree_0"])
+def test_check_degree_out_of_range_exit_2(args):
+    res = run("check", "pentagon", *args)
+    assert res.returncode == 2
+    assert "check degree" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_automorphism_log_must_match_images():
+    doc = json.loads(ELEMENT_D3.read_text())
+    term = doc["log"]["components"][0]["terms"][0]
+    term["coeff"] = "1/7"
+    res = run("jcocycle", "--input", "-", stdin=json.dumps(doc))
+    assert res.returncode == 2
+    assert "'log'" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_non_tangential_image_without_log_exit_2():
+    # x -> x + [y, z] is not a conjugate of x
+    doc = {"n": 3, "images": [
+        {"degreeN": 3, "terms": [{"word": "x", "coeff": "1/1"},
+                                 {"word": "yz", "coeff": "1/1"}]},
+        {"degreeN": 3, "terms": [{"word": "y", "coeff": "1/1"}]},
+        {"degreeN": 3, "terms": [{"word": "z", "coeff": "1/1"}]}]}
+    res = run("jcocycle", "--input", "-", stdin=json.dumps(doc))
+    assert res.returncode == 2
+    assert "conjugated" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_usage_errors_exit_2():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kvlie.automorphisms import taut_exp, taut_log
+from kvlie.automorphisms import TAutElem, taut_exp, taut_log
 from kvlie.derivations import TDer, braid_bracket_basis, tder_coords, tder_extend
 from kvlie.lie import LieSeries
 from kvlie.solvers import (_bch_chain, _braid_tders, _linear_residuals,
@@ -75,6 +75,54 @@ def test_associator_passes_independent_checker():
     assert check.notes == {"duality": True, "pentagon": True,
                            "hexagon+": True, "hexagon-": True}
     assert check.all_zero()
+
+
+AXIOMS = ("duality", "pentagon", "hexagon+", "hexagon-")
+
+
+@pytest.fixture(scope="module")
+def phi3():
+    return solve_associator(3)[0].element
+
+
+def _notes(report):
+    return {name: report.notes[name] for name in AXIOMS}
+
+
+def test_checker_rejects_non_associators(phi3):
+    log = taut_log(phi3)
+    identity = TAutElem.identity(Alphabet(3), phi3.degree)
+    fails_hexagons = {"duality": True, "pentagon": True,
+                      "hexagon+": False, "hexagon-": False}
+    for element in (identity, taut_exp(log.scale(2))):
+        report = check_associator_axioms(element, "all")
+        assert _notes(report) == fails_hexagons
+        assert not report.all_zero()
+    shifted = taut_exp(log + _braid_tders(phi3.degree)["t12"])
+    assert _notes(check_associator_axioms(shifted, "all")) == dict.fromkeys(AXIOMS, False)
+
+
+def test_single_selector_reports_match_all(phi3):
+    # exp(2 log Phi) passes duality and pentagon but fails both hexagons
+    element = taut_exp(taut_log(phi3).scale(2))
+    full = check_associator_axioms(element, "all")
+    per_axiom = len(full.records) // len(AXIOMS)
+    for k, name in enumerate(AXIOMS):
+        single = check_associator_axioms(element, name)
+        assert single.records == full.records[k * per_axiom:(k + 1) * per_axiom]
+        assert single.notes == {name: full.notes[name]}
+    hexagon = check_associator_axioms(element, "hexagon")
+    assert hexagon.notes == {"hexagon+": False}
+    assert hexagon.records == full.records[2 * per_axiom:3 * per_axiom]
+
+
+def test_checker_degree_bounds(phi3):
+    assert check_associator_axioms(phi3, "pentagon", degree=2).notes == {"pentagon": True}
+    for degree in (0, -1, phi3.degree):
+        with pytest.raises(ValueError, match="check degree"):
+            check_associator_axioms(phi3, "pentagon", degree=degree)
+    with pytest.raises(ValueError, match="selector"):
+        check_associator_axioms(phi3, "hexagon0")
 
 
 def test_associator_negative_hexagon_sign():

@@ -1,4 +1,5 @@
 """Word algebra basics: arithmetic, exp/log, substitution."""
+import operator
 import random
 from fractions import Fraction
 
@@ -46,6 +47,21 @@ def test_ambient_mismatch(cls):
             s + t
         with pytest.raises(AmbientMismatch):
             s - t
+
+
+KINDS = (AssocSeries, LieSeries, CycSeries)
+
+
+@pytest.mark.parametrize("left,right", [(a, b) for a in KINDS for b in KINDS if a is not b],
+                         ids=lambda cls: cls.__name__)
+def test_mixed_kinds_rejected(left, right):
+    # (0, 1) is a word, a Lyndon word and a rotation-minimal necklace
+    s = left(A2, 3, {(0, 1): Fraction(1)})
+    t = right(A2, 3, {(0, 1): Fraction(1)})
+    for op in (operator.add, operator.sub):
+        with pytest.raises(AmbientMismatch) as exc:
+            op(s, t)
+        assert left.__name__ in str(exc.value) and right.__name__ in str(exc.value)
 
 
 def test_mul_associative_randomized():
