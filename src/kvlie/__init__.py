@@ -6,11 +6,10 @@ from .cyclic import (CycSeries, duflo_series, h_subspace_vector, j_of,
                      partial_decompose, tr_project, tr_power)
 from .derivations import (BraidGenerator, DerivationFlags, TDer, braid_embed,
                           braid_bracket_basis, classify, divergence,
-                          tder_bracket, tder_extend, tn_membership)
+                          tder_extend, tn_membership)
 from .automorphisms import (TAutElem, inner_automorphism, iris_derivation,
                             j_group_cocycle, r_element, symmetry_transform,
-                            tau_involution, taut_exp, taut_extend,
-                            taut_invert, taut_log)
+                            tau_involution, taut_exp, taut_extend, taut_log)
 from .solvers import (AssociatorCandidate, DegreeRecord, DegreeReport,
                       check_associator_axioms, check_f_symmetries,
                       solve_associator, solve_kv, tder_bch)

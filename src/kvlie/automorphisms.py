@@ -12,50 +12,45 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import linalg
 from .cyclic import CycSeries, tr_project
 from .derivations import TDer, divergence, parse_pattern, pattern_sums
 from .lie import LieSeries
-from .lyndon import bracket_expansion, lyndon_basis
-from .words import Alphabet, AmbientMismatch, AssocSeries, Word
+from .words import (_ZERO, Alphabet, AmbientMismatch, AssocSeries,
+                    NotPrimitiveError, Word)
 
 
 class NotTangentialImage(ValueError):
     """An image tuple is not of the conjugated form Ad_g x_i."""
 
 
-def _lie_coords(s: LieSeries, basis) -> List[Fraction]:
-    return [s.coefficient(w) for w in basis]
+def _ad_inverse(i: int, r: LieSeries) -> Optional[LieSeries]:
+    """The a with no x_i term and [x_i, a] = r, or None if there is none.
 
-
-def solve_ad_generator(alphabet: Alphabet, degree: int, i: int,
-                       rhs: LieSeries, d: int,
-                       exclude_generator: bool = True) -> Optional[LieSeries]:
-    """Solve [x_i, a] = rhs for homogeneous a of degree d.
-
-    rhs must be homogeneous of degree d+1.  For d = 1 the kernel of
-    ad(x_i) is spanned by x_i itself; excluding it pins the solution.
+    ad(x_i) is triangular on words: reading x_i a - a x_i = r at the word
+    x_i w gives a_w = r_{x_i w} + a_{x_i u} when w = u x_i.  So each term
+    of r at x_i w adds its coefficient to w, and to every rotation of w
+    that moves a leading x_i to the end.  Powers of x_i are dropped: they
+    are the kernel in degree one and never occur in a Lie element above.
     """
-    unknowns = lyndon_basis(alphabet.n, d)
-    if d == 1 and exclude_generator:
-        unknowns = [w for w in unknowns if w != (i,)]
-    target_basis = lyndon_basis(alphabet.n, d + 1)
-    xi = LieSeries.generator(alphabet, degree, i)
-    columns = []
-    for w in unknowns:
-        bw = LieSeries(alphabet, degree, {w: Fraction(1)})
-        columns.append(_lie_coords(xi.bracket(bw), target_basis))
-    a = [[columns[j][r] for j in range(len(unknowns))]
-         for r in range(len(target_basis))]
-    b = _lie_coords(rhs, target_basis)
-    sol, _null = linalg.solve_affine(a, b) if unknowns else (None, [])
-    if sol is None:
-        if not any(b):
-            sol = [Fraction(0)] * len(unknowns)
-        else:
-            return None
-    return LieSeries(alphabet, degree,
-                     {w: c for w, c in zip(unknowns, sol) if c})
+    table: Dict[Word, Fraction] = {}
+    get = table.get
+    for v, c in r.to_assoc().coeffs.items():
+        if v[0] != i:
+            continue
+        w = v[1:]
+        if all(letter == i for letter in w):
+            continue
+        table[w] = get(w, _ZERO) + c
+        while w[0] == i:
+            w = w[1:] + (i,)
+            table[w] = get(w, _ZERO) + c
+    try:
+        a = LieSeries.from_assoc(AssocSeries._trusted(r.alphabet, r.degree, table))
+    except NotPrimitiveError:
+        return None
+    if LieSeries.generator(r.alphabet, r.degree, i).bracket(a) != r:
+        return None
+    return a
 
 
 def ad_exponential(c: LieSeries, target: LieSeries) -> LieSeries:
@@ -73,7 +68,8 @@ def ad_exponential(c: LieSeries, target: LieSeries) -> LieSeries:
 class TAutElem:
     """Tangential automorphism stored by generator images."""
 
-    __slots__ = ("alphabet", "degree", "images", "log_certificate", "_word_images")
+    __slots__ = ("alphabet", "degree", "images", "log_certificate",
+                 "_word_images", "_conjugator_logs")
 
     def __init__(self, images: Sequence[LieSeries],
                  log_certificate: Optional[TDer] = None,
@@ -91,9 +87,9 @@ class TAutElem:
         self.images = images
         self.log_certificate = log_certificate
         self._word_images = None
+        self._conjugator_logs = None
         if check:
-            for i in range(self.alphabet.n):
-                self.conjugator_log(i)  # raises NotTangentialImage on failure
+            self.conjugator_logs()  # raises NotTangentialImage on failure
 
     # -- constructors -------------------------------------------------
 
@@ -121,13 +117,20 @@ class TAutElem:
     def is_identity(self) -> bool:
         return self == TAutElem.identity(self.alphabet, self.degree)
 
-    def conjugator_log(self, i: int) -> LieSeries:
-        """The Lie logarithm c_i with e^{ad_{c_i}} x_i = image_i.
+    def conjugator_logs(self) -> Tuple[LieSeries, ...]:
+        """The Lie logarithms c_i with e^{ad_{c_i}} x_i = image_i.
 
+        Solved for every generator on first use and kept on the element.
         The centralizer ambiguity (multiples of x_i in degree one) is fixed
         by excluding them, which is the choice under which group-level and
         derivation-level simplicial extensions agree.
         """
+        if self._conjugator_logs is None:
+            self._conjugator_logs = tuple(
+                self._conjugator_log(i) for i in range(self.alphabet.n))
+        return self._conjugator_logs
+
+    def _conjugator_log(self, i: int) -> LieSeries:
         alphabet, degree = self.alphabet, self.degree
         image = self.images[i]
         xi = LieSeries.generator(alphabet, degree, i)
@@ -139,7 +142,7 @@ class TAutElem:
             residual = (image - ad_exponential(c, xi)).homogeneous(d + 1)
             if not residual:
                 continue
-            cd = solve_ad_generator(alphabet, degree, i, -residual, d)
+            cd = _ad_inverse(i, -residual)
             if cd is None:
                 raise NotTangentialImage(
                     f"image of generator {i} is not conjugated at degree {d + 1}")
@@ -230,7 +233,7 @@ def taut_log(g: TAutElem) -> TDer:
             residual = (g.images[i] - current.images[i]).homogeneous(d + 1)
             if not residual:
                 continue
-            ad = solve_ad_generator(alphabet, degree, i, residual, d)
+            ad = _ad_inverse(i, residual)
             if ad is None:
                 raise NotTangentialImage(
                     f"no tangential logarithm at degree {d} (generator {i})")
@@ -242,10 +245,6 @@ def taut_log(g: TAutElem) -> TDer:
         raise NotTangentialImage("element is not an exponential of a tangential derivation")
     g.log_certificate = u
     return u
-
-
-def taut_invert(g: TAutElem) -> TAutElem:
-    return g.invert()
 
 
 def taut_extend(g: TAutElem, pattern, arity: Optional[int] = None) -> TAutElem:
@@ -261,9 +260,8 @@ def taut_extend(g: TAutElem, pattern, arity: Optional[int] = None) -> TAutElem:
     target = Alphabet(m)
     sums = pattern_sums(groups, target, g.degree)
     images = LieSeries.generators(target, g.degree)
-    images = list(images)
-    for k, group in enumerate(groups):
-        ck = g.conjugator_log(k).substitute(sums)
+    for group, c in zip(groups, g.conjugator_logs()):
+        ck = c.substitute(sums)
         for i in group:
             xi = LieSeries.generator(target, g.degree, i - 1)
             images[i - 1] = ad_exponential(ck, xi)

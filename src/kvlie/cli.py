@@ -63,8 +63,10 @@ def _load_tder(path: str):
 
 def _load_taut(path: str):
     doc = _read_json(path)
-    if isinstance(doc.get("element"), dict):  # assoc-solve output
-        doc = doc["element"]
+    for key in ("element", "f"):  # assoc-solve and kv-solve output
+        if isinstance(doc.get(key), dict):
+            doc = doc[key]
+            break
     if "images" in doc:
         return serialize.decode_taut(doc)
     if "components" in doc:

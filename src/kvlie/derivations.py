@@ -152,10 +152,6 @@ class TDer:
         return TDer(comps)
 
 
-def tder_bracket(u: TDer, v: TDer) -> TDer:
-    return u.bracket(v)
-
-
 def divergence(u: TDer) -> CycSeries:
     """div(u) = sum_i tr(x_i * d_i(a_i))."""
     out = CycSeries.zero(u.alphabet, u.degree)

@@ -19,7 +19,7 @@ from .lie import LieSeries, bch_xy
 from .lyndon import lyndon_basis
 from .automorphisms import (TAutElem, inner_automorphism, r_element,
                             symmetry_transform, tau_involution, taut_exp,
-                            taut_extend, taut_invert, taut_log)
+                            taut_extend, taut_log)
 from .words import Alphabet
 
 
@@ -156,7 +156,7 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
         report.records.append(DegreeRecord(
             degree=d,
             dimension=len(eq_cols),
-            rank=linalg.rank(a),
+            rank=len(eq_cols) - len(null),
             residual_zero=True,
             gauge=solution))
 
@@ -195,12 +195,6 @@ class AssociatorCandidate:
     log: TDer
     group_like_verified: bool
     tn_coordinates: Dict[int, List] = field(default_factory=dict)
-
-
-def _reambient(u: TDer, degree: int) -> TDer:
-    """Move a derivation to another ambient truncation order."""
-    return TDer([LieSeries(u.alphabet, degree, dict(c.coeffs))
-                 for c in u.components])
 
 
 def _tder_cap(u: TDer, d: int) -> TDer:
@@ -272,7 +266,8 @@ def _axiom_residuals(phi: TDer, degree: int, wanted: Sequence[str]) -> Dict[str,
     derivation-degree-d log term first shows up in generator images at
     word degree d + 1, so everything runs one order above ``degree``.
     """
-    phi = _reambient(phi.truncated(degree), degree + 1)
+    # the log terms up to degree, moved to ambient degree + 1
+    phi = phi.truncated(degree).truncated(degree + 1)
     big = taut_exp(phi)
 
     def ext(pattern, arity=3):
@@ -287,7 +282,7 @@ def _axiom_residuals(phi: TDer, degree: int, wanted: Sequence[str]) -> Dict[str,
     if "pentagon" in wanted:
         lhs = ext("1,2,34", 4).compose(ext("12,3,4", 4))
         rhs = _compose_all([ext("2,3,4", 4), ext("1,23,4", 4), ext("1,2,3", 4)])
-        out["pentagon"] = taut_log(taut_invert(rhs).compose(lhs))
+        out["pentagon"] = taut_log(rhs.invert().compose(lhs))
     t = _braid_tders(degree + 1) if hexagons else {}
     for key in hexagons:
         half = Fraction(1 if key == "hexagon+" else -1, 2)
@@ -308,7 +303,7 @@ def _log_residuals(phi: TDer, degree: int, hexagon_sign: int) -> Dict[str, TDer]
     degree-``degree`` coordinates are read, and the algebra is graded, so
     everything runs at ambient ``degree``.
     """
-    phi = _reambient(_tder_cap(phi, degree), degree)
+    phi = phi.truncated(degree)
 
     def ext(pattern, arity):
         return tder_extend(phi, pattern, arity)
@@ -390,7 +385,7 @@ def solve_associator(degree: int, parity: str = "even",
             continue
         basis = braid_bracket_basis(3, d, degree + 1)
         r0 = _residual_vector(_log_residuals(phi, d, hexagon_sign), d)
-        columns = [_residual_vector(_linear_residuals(_reambient(e, d)), d)
+        columns = [_residual_vector(_linear_residuals(e.truncated(d)), d)
                    for _lbl, e in basis]
         a = [[columns[j][r] for j in range(len(columns))] for r in range(len(r0))]
         b = [-v for v in r0]
@@ -406,7 +401,7 @@ def solve_associator(degree: int, parity: str = "even",
         coords[d] = [(lbl, c) for c, (lbl, _e) in zip(solution, basis)]
         check = _residual_vector(_log_residuals(phi, d, hexagon_sign), d)
         report.records.append(DegreeRecord(
-            d, len(basis), linalg.rank(a), not any(check), solution))
+            d, len(basis), len(basis) - len(null), not any(check), solution))
 
     element = taut_exp(phi)
     candidate = AssociatorCandidate(
@@ -462,7 +457,10 @@ def check_f_symmetries(f: TAutElem, degree: Optional[int] = None) -> DegreeRepor
     """
     if f.alphabet.n != 2:
         raise ValueError("F lives on 2 generators")
-    n_degree = degree or f.degree
+    n_degree = f.degree if degree is None else degree
+    if not 1 <= n_degree <= f.degree:
+        raise ValueError(
+            f"check degree {n_degree} outside 1..{f.degree}, the element's truncation")
     if n_degree != f.degree:
         f = TAutElem([im.truncated(n_degree) for im in f.images], check=False)
     alphabet = f.alphabet
@@ -472,8 +470,8 @@ def check_f_symmetries(f: TAutElem, degree: Optional[int] = None) -> DegreeRepor
     r = r_element(n_degree)
     tau1_f = symmetry_transform("tau1", f)
     rhs1 = _compose_all([half_inner, tau1_f,
-                         symmetry_transform("tau1", taut_invert(r))])
-    rhs2 = _compose_all([taut_invert(half_inner), tau1_f, r])
+                         symmetry_transform("tau1", r.invert())])
+    rhs2 = _compose_all([half_inner.invert(), tau1_f, r])
     tau_f = tau_involution(f)
     report = DegreeReport()
     for name, lhs, rhs in (("eyelid_plus", f, rhs1),

@@ -58,32 +58,23 @@ def angle(p: complex, q: complex, kind: str = "hyperbolic") -> float:
     return cmath.phase((q - p) / (q - p.conjugate()))
 
 
-def angle_gradient(p: complex, q: complex, kind: str = "hyperbolic",
-                   step: float = 1e-6) -> Tuple[float, float, float, float]:
-    """Central-difference partials (d/dpx, d/dpy, d/dqx, d/dqy).
+def angle_gradient(p: complex, q: complex,
+                   kind: str = "hyperbolic") -> Tuple[float, float, float, float]:
+    """Partials (d/dpx, d/dpy, d/dqx, d/dqy) of the angle, in closed form.
 
-    Companion probe for the vanishing statements: when p sits on the real
-    axis the hyperbolic angle is constant, so all four entries vanish.
+    A coordinate t moving w by dw/dt moves arg(w) by Im((dw/dt) / w).  The
+    hyperbolic angle is arg(w1) - arg(w2) with w1 = q - p, w2 = q - conj(p)
+    (these are the rows ``_angle_rows`` fills in); the euclidean one is
+    arg(w1) alone.  For p on the real axis w1 = w2, so d/dpx, d/dqx and
+    d/dqy vanish exactly, while d/dpy = -2 Re(1/w1) does not.
     """
-    def at(dpx=0.0, dpy=0.0, dqx=0.0, dqy=0.0):
-        return angle(p + complex(dpx, dpy), q + complex(dqx, dqy), kind)
-
-    def central(**kw):
-        key = next(iter(kw))
-        try:
-            plus, minus, width = at(**{key: step}), at(**{key: -step}), 2.0 * step
-        except ValueError:
-            # one-sided at the boundary of the half plane
-            plus, minus, width = at(**{key: step}), at(), step
-        diff = plus - minus
-        # unwrap across the branch cut of arg
-        if diff > math.pi:
-            diff -= TWO_PI
-        elif diff < -math.pi:
-            diff += TWO_PI
-        return diff / width
-
-    return (central(dpx=1), central(dpy=1), central(dqx=1), central(dqy=1))
+    angle(p, q, kind)  # the same domain checks
+    p = complex(p)
+    q = complex(q)
+    z1 = 1.0 / (q - p)
+    z2 = 1.0 / (q - p.conjugate()) if kind == "hyperbolic" else 0j
+    return (z2.imag - z1.imag, -z1.real - z2.real,
+            z1.imag - z2.imag, z1.real - z2.real)
 
 
 def example_weight_quadrature(tolerance: float = 1e-10) -> WeightEstimate:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kvlie.automorphisms import (NotTangentialImage, TAutElem,
+from kvlie.automorphisms import (NotTangentialImage, TAutElem, _ad_inverse,
                                  inner_automorphism, iris_derivation,
                                  j_group_cocycle, r_element,
                                  symmetry_transform, tau_involution, taut_exp,
@@ -77,6 +77,54 @@ def test_invert_is_exp_of_negative(u):
         assert h.invert().images == expected
         assert h.compose(h.invert()) == identity
         assert h.invert().compose(h) == identity
+
+
+fractions = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def ad_problems(draw):
+    """(i, a): a generator index and a Lie a with no x_i term, on 2-4
+    letters with terms of degree 1-6, truncated one degree above."""
+    n = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, 6))
+    i = draw(st.integers(0, n - 1))
+    keys = st.sampled_from([w for w in lyndon_words(n, degree) if w != (i,)])
+    table = draw(st.dictionaries(keys, fractions, max_size=5))
+    return i, LieSeries(Alphabet(n), degree + 1, table)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ad_problems())
+def test_ad_inverse_recovers_the_element(problem):
+    i, a = problem
+    xi = LieSeries.generator(a.alphabet, a.degree, i)
+    r = xi.bracket(a)
+    assert _ad_inverse(i, r) == a
+    # ad(x_i) has no degree-one image
+    assert _ad_inverse(i, r + xi) is None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ad_problems())
+def test_ad_inverse_rejects_words_without_the_generator(problem):
+    i, a = problem
+    r = LieSeries(a.alphabet, a.degree,
+                  {w: c for w, c in a.coeffs.items() if i not in w})
+    if r:
+        assert _ad_inverse(i, r) is None
+
+
+def test_conjugator_logs_solved_once_per_element():
+    g = taut_exp(rand_tder(random.Random(65), Alphabet(3), 4))
+    logs = g.conjugator_logs()
+    assert len(logs) == 3 and g.conjugator_logs() is logs
+    taut_extend(g, "12,3,4", 4)
+    assert g.conjugator_logs() is logs
+    for c, xi, im in zip(logs, LieSeries.generators(g.alphabet, g.degree), g.images):
+        assert inner_automorphism(c).apply(xi) == im
 
 
 def test_log_rejects_non_tangential():

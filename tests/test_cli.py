@@ -103,6 +103,27 @@ def test_check_degree_out_of_range_exit_2(args):
     assert "check degree" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.fixture(scope="module")
+def kv_solve_d4():
+    res = run("kv-solve", "--degree", "4")
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+@pytest.mark.parametrize("degree, code", [(None, 0), ("4", 0), ("0", 2), ("6", 2)],
+                         ids=["default", "degree_4", "degree_0", "degree_6"])
+def test_kv_solve_pipes_into_check_symmetries(kv_solve_d4, degree, code):
+    # check symmetries reads the f of a whole kv-solve document
+    extra = [] if degree is None else ["--degree", degree]
+    res = run("check", "symmetries", "--input", "-", *extra, stdin=kv_solve_d4)
+    assert res.returncode == code, res.stderr
+    if code:
+        assert "check degree" in res.stderr and "Traceback" not in res.stderr
+    else:
+        notes = json.loads(res.stdout)["notes"]
+        assert all(all(per_degree.values()) for per_degree in notes.values())
+
+
 def test_automorphism_log_must_match_images():
     doc = json.loads(ELEMENT_D3.read_text())
     term = doc["log"]["components"][0]["terms"][0]

@@ -38,10 +38,18 @@ def test_angle_domain_errors():
 def test_gradient_vanishes_for_grounded_source():
     # with p on the real axis the hyperbolic angle is identically zero as
     # a function of q and of real motions of p; only lifting p off the
-    # axis changes it
+    # axis changes it, at rate -2 Re(1/q) for p = 0
     dpx, dpy, dqx, dqy = angle_gradient(0.0, 0.4 + 0.8j)
-    assert abs(dpx) < 1e-5 and abs(dqx) < 1e-5 and abs(dqy) < 1e-5
-    assert abs(dpy) > 0.1
+    assert dpx == 0.0 and dqx == 0.0 and dqy == 0.0
+    assert dpy == pytest.approx(-1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "euclidean"])
+def test_gradient_matches_central_difference(kind):
+    p, q, h = 0.3 + 0.7j, 1.1 + 0.2j, 1e-6
+    want = [(angle(p + dp, q + dq, kind) - angle(p - dp, q - dq, kind)) / (2 * h)
+            for dp, dq in ((h, 0), (1j * h, 0), (0, h), (0, 1j * h))]
+    assert angle_gradient(p, q, kind) == pytest.approx(want, rel=1e-7)
 
 
 def test_gradient_matches_closed_form_euclidean():
