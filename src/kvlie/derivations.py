@@ -15,17 +15,18 @@ from . import linalg
 from .cyclic import CycSeries, partial_decompose, tr_project
 from .lie import LieSeries
 from .lyndon import lyndon_basis
-from .words import _ZERO, Alphabet, AmbientMismatch, AssocSeries, Word
+from .words import Alphabet, AmbientMismatch, AssocSeries, Word, _by_length, _scaled
 
 
 class TDer:
     """Tangential derivation u = (a_1, ..., a_n).
 
-    Immutable: the generator images are computed on first use and kept
-    for the life of the object.
+    Immutable: the generator images, and for ``apply_assoc`` their integer
+    numerators over a common denominator grouped by word length, are
+    computed on first use and kept for the life of the object.
     """
 
-    __slots__ = ("alphabet", "degree", "components", "_images")
+    __slots__ = ("alphabet", "degree", "components", "_images", "_scaled_images")
 
     def __init__(self, components: Sequence[LieSeries], strict: bool = False):
         components = tuple(components)
@@ -49,6 +50,7 @@ class TDer:
         self.degree = first.degree
         self.components = tuple(normalized)
         self._images = None
+        self._scaled_images = None
 
     @classmethod
     def zero(cls, alphabet: Alphabet, degree: int) -> "TDer":
@@ -111,21 +113,24 @@ class TDer:
         """Leibniz extension to the word algebra."""
         if target.alphabet != self.alphabet or target.degree != self.degree:
             raise AmbientMismatch("derivation and target live over different ambients")
-        images = [im.coeffs.items() for im in self.generator_images()]
-        table: Dict[Word, Fraction] = {}
+        if self._scaled_images is None:
+            images, denom = _scaled(*(im.coeffs for im in self.generator_images()))
+            self._scaled_images = [_by_length(im) for im in images], denom
+        images, denom = self._scaled_images
+        (coeffs,), outer = _scaled(target.coeffs)
+        table: Dict[Word, int] = {}
         get = table.get
-        for word, c in target.coeffs.items():
+        for word, c in coeffs.items():
             room = self.degree - (len(word) - 1)
-            if room < 1:
-                continue
             for pos, letter in enumerate(word):
                 prefix, suffix = word[:pos], word[pos + 1:]
-                for w, e in images[letter]:
-                    if len(w) > room:
-                        continue
-                    full = prefix + w + suffix
-                    table[full] = get(full, _ZERO) + c * e
-        return AssocSeries._trusted(self.alphabet, self.degree, table)
+                for length, group in images[letter]:
+                    if length > room:
+                        break
+                    for w, e in group:
+                        full = prefix + w + suffix
+                        table[full] = get(full, 0) + c * e
+        return AssocSeries._from_scaled(self.alphabet, self.degree, table, outer * denom)
 
     def apply(self, target: Union[LieSeries, AssocSeries, CycSeries]):
         """Act on a Lie, word, or cyclic series; the result has the same kind."""

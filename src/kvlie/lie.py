@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence
 
 from .lyndon import bracket_expansion, bracket_structure, is_lyndon, lyndon_basis
-from .words import _ZERO, Alphabet, AssocSeries, NotPrimitiveError, Series, Word
+from .words import Alphabet, AssocSeries, NotPrimitiveError, Series, Word, _scaled
 
 
 class LieSeries(Series):
@@ -44,22 +44,28 @@ class LieSeries(Series):
     # -- conversions ---------------------------------------------------
 
     def to_assoc(self) -> AssocSeries:
-        table: Dict[Word, Fraction] = {}
+        (coeffs,), denom = _scaled(self.coeffs)
+        table: Dict[Word, int] = {}
         get = table.get
-        for word, c in self.coeffs.items():
+        for word, c in coeffs.items():
             for w, e in bracket_expansion(word).items():
-                table[w] = get(w, _ZERO) + c * e
-        return AssocSeries._trusted(self.alphabet, self.degree, table)
+                table[w] = get(w, 0) + c * e
+        return AssocSeries._from_scaled(self.alphabet, self.degree, table, denom)
 
     @classmethod
     def from_assoc(cls, series: AssocSeries) -> "LieSeries":
-        """Triangular solve against the Lyndon expansion; checks primitivity."""
+        """Triangular solve against the Lyndon expansion; checks primitivity.
+
+        The expansion of a Lyndon word is integral with 1 on the word
+        itself, so the solve stays in the integer numerators of ``series``.
+        """
         if series.constant_term:
             raise NotPrimitiveError(0, "series has a constant term")
-        by_len: Dict[int, Dict[Word, Fraction]] = {}
-        for w, c in series.coeffs.items():
+        (coeffs,), denom = _scaled(series.coeffs)
+        by_len: Dict[int, Dict[Word, int]] = {}
+        for w, c in coeffs.items():
             by_len.setdefault(len(w), {})[w] = c
-        table: Dict[Word, Fraction] = {}
+        table: Dict[Word, int] = {}
         for d in sorted(by_len):
             remaining = by_len[d]
             while remaining:
@@ -71,12 +77,12 @@ class LieSeries(Series):
                 for w, e in bracket_expansion(word).items():
                     if w == word:
                         continue
-                    v = remaining.get(w, _ZERO) - c * e
+                    v = remaining.get(w, 0) - c * e
                     if v:
                         remaining[w] = v
                     else:
                         remaining.pop(w, None)
-        return cls._trusted(series.alphabet, series.degree, table)
+        return cls._from_scaled(series.alphabet, series.degree, table, denom)
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
         self._check_same(other)

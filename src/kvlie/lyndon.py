@@ -8,7 +8,6 @@ word -> Lie conversion a triangular greedy elimination.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -57,18 +56,19 @@ def bracket_structure(word: Word):
 
 
 @lru_cache(maxsize=None)
-def bracket_expansion(word: Word) -> Dict[Word, Fraction]:
-    """Expansion of the standard bracketing of a Lyndon word in the word algebra."""
+def bracket_expansion(word: Word) -> Dict[Word, int]:
+    """Expansion of the standard bracketing of a Lyndon word in the word
+    algebra; its coefficients are integers (the word itself has 1)."""
     if len(word) == 1:
-        return {word: Fraction(1)}
+        return {word: 1}
     u, v = standard_factorization(word)
     left = bracket_expansion(u)
     right = bracket_expansion(v)
-    table: Dict[Word, Fraction] = {}
+    table: Dict[Word, int] = {}
     for w1, c1 in left.items():
         for w2, c2 in right.items():
-            table[w1 + w2] = table.get(w1 + w2, Fraction(0)) + c1 * c2
-            table[w2 + w1] = table.get(w2 + w1, Fraction(0)) - c1 * c2
+            table[w1 + w2] = table.get(w1 + w2, 0) + c1 * c2
+            table[w2 + w1] = table.get(w2 + w1, 0) - c1 * c2
     return {w: c for w, c in table.items() if c}
 
 

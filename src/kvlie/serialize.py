@@ -7,6 +7,7 @@ equal objects serialize to identical bytes.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Union
 
@@ -54,8 +55,17 @@ def _require(doc: Any, what: str, **fields: type) -> None:
                              f"not {type(value).__name__}")
 
 
+_NUMBERED = re.compile(r"x([0-9]+)")
+
+
 def _infer_alphabet(doc: Dict[str, Any], n: Optional[int], key: str) -> Alphabet:
+    """``Alphabet(n)``, or without ``n`` the smallest alphabet whose names
+    spell every term.  ``Alphabet`` names up to four letters x, y, z, w and
+    five or more x1..xn, so a numbered name means at least five letters."""
     if n is None:
+        numbers = [int(i) for t in doc["terms"] for i in _NUMBERED.findall(t[key])]
+        if numbers:
+            return Alphabet(max(5, max(numbers)))
         probe = Alphabet(4)
         highest = 1
         for t in doc["terms"]:

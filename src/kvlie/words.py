@@ -10,12 +10,22 @@ validated once: ``Series.__init__`` is the public constructor of every
 kind, and each kind adds only its own key check.  Arithmetic on valid
 series builds its result through the private ``_trusted`` constructor,
 which only drops zeros.
+
+Coefficients are stored as reduced ``Fraction``s, and every public method
+takes and returns them.  The exact kernels (word products, substitution,
+and in ``lie`` and ``derivations`` the Lyndon conversions and the Leibniz
+action) do not compute with Fractions, though: ``_scaled`` turns their
+operands into integer numerators over one common denominator, the inner
+loops multiply and add plain ints, and ``Series._from_scaled`` reduces
+each output term to a Fraction once.  Those two helpers are the only code
+that knows the scaled format.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
@@ -82,6 +92,43 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
+def _scaled(*tables: Mapping[Word, Fraction]) -> Tuple[List[Dict[Word, int]], int]:
+    """Integer numerators of Fraction tables over the lcm of all their
+    denominators: returns the numerator tables, in order, and that lcm."""
+    denom = 1
+    for table in tables:
+        for c in table.values():
+            if denom % c.denominator:
+                denom = lcm(denom, c.denominator)
+    return [{w: c.numerator * (denom // c.denominator) for w, c in table.items()}
+            for table in tables], denom
+
+
+def _by_length(table: Mapping[Word, int]) -> List[Tuple[int, list]]:
+    """The terms of a table grouped by word length, shortest first."""
+    groups: Dict[int, list] = {}
+    for w, c in table.items():
+        groups.setdefault(len(w), []).append((w, c))
+    return sorted(groups.items())
+
+
+def _times(left: Mapping[Word, int], right: List[Tuple[int, list]],
+           degree: int) -> Dict[Word, int]:
+    """Product of an integer table and the ``_by_length`` groups of another,
+    dropping words longer than ``degree``."""
+    table: Dict[Word, int] = {}
+    get = table.get
+    for w1, c1 in left.items():
+        room = degree - len(w1)
+        for length, group in right:
+            if length > room:
+                break
+            for w2, c2 in group:
+                w = w1 + w2
+                table[w] = get(w, 0) + c1 * c2
+    return table
+
+
 class Series:
     """Finitely supported key -> rational table, truncated at ``degree``.
 
@@ -126,6 +173,15 @@ class Series:
         self.alphabet = alphabet
         self.degree = degree
         self.coeffs = {w: c for w, c in table.items() if c}
+        return self
+
+    @classmethod
+    def _from_scaled(cls, alphabet: Alphabet, degree: int,
+                     numerators: Mapping[Word, int], denom: int) -> "Series":
+        """Like ``_trusted`` for a table of integer numerators over ``denom``,
+        as ``_scaled`` makes them: each nonzero one becomes a reduced Fraction."""
+        self = cls._trusted(alphabet, degree, {})
+        self.coeffs = {w: Fraction(n, denom) for w, n in numerators.items() if n}
         return self
 
     # -- key hooks ----------------------------------------------------
@@ -278,20 +334,10 @@ class AssocSeries(Series):
 
     def __mul__(self, other: "AssocSeries") -> "AssocSeries":
         self._check_same(other)
-        by_len: Dict[int, list] = {}
-        for w2, c2 in other.coeffs.items():
-            by_len.setdefault(len(w2), []).append((w2, c2))
-        table: Dict[Word, Fraction] = {}
-        get = table.get
-        for w1, c1 in self.coeffs.items():
-            room = self.degree - len(w1)
-            for length, bucket in by_len.items():
-                if length > room:
-                    continue
-                for w2, c2 in bucket:
-                    w = w1 + w2
-                    table[w] = get(w, _ZERO) + c1 * c2
-        return AssocSeries._trusted(self.alphabet, self.degree, table)
+        (left, right), denom = _scaled(self.coeffs, other.coeffs)
+        return AssocSeries._from_scaled(self.alphabet, self.degree,
+                                        _times(left, _by_length(right), self.degree),
+                                        denom * denom)
 
     def commutator(self, other: "AssocSeries") -> "AssocSeries":
         return self * other - other * self
@@ -338,9 +384,11 @@ class AssocSeries(Series):
             target._check_same(im)
             if im.constant_term:
                 raise ValueError("substitution image has a degree-0 term")
-        table: Dict[Word, Fraction] = {}
-        get = table.get
-        cache: Dict[Word, AssocSeries] = {(): AssocSeries.one(target.alphabet, target.degree)}
+        scaled, denom = _scaled(*(im.coeffs for im in images))
+        factors = [_by_length(im) for im in scaled]
+        degree = target.degree
+        # prefix -> (integer table of its image, the denominator under it)
+        cache: Dict[Word, Tuple[Dict[Word, int], int]] = {(): ({(): 1}, 1)}
         for word in sorted(self.coeffs, key=len):
             if word not in cache:
                 # walk up to the nearest cached prefix, filling the gaps
@@ -348,11 +396,19 @@ class AssocSeries(Series):
                 k = len(word) - 1
                 while k > 0 and word[:k] not in cache:
                     k -= 1
-                acc = cache[word[:k]]
+                acc, acc_denom = cache[word[:k]]
                 for pos in range(k, len(word)):
-                    acc = acc * images[word[pos]]
-                    cache[word[:pos + 1]] = acc
-            c = self.coeffs[word]
-            for w, e in cache[word].coeffs.items():
-                table[w] = get(w, _ZERO) + c * e
-        return AssocSeries._trusted(target.alphabet, target.degree, table)
+                    acc = _times(acc, factors[word[pos]], degree)
+                    acc_denom *= denom
+                    cache[word[:pos + 1]] = (acc, acc_denom)
+        (coeffs,), outer = _scaled(self.coeffs)
+        # each prefix sits over a power of denom, so the largest is their lcm
+        common = max((cache[word][1] for word in coeffs), default=1)
+        table: Dict[Word, int] = {}
+        get = table.get
+        for word, c in coeffs.items():
+            image, image_denom = cache[word]
+            c *= common // image_denom
+            for w, e in image.items():
+                table[w] = get(w, 0) + c * e
+        return AssocSeries._from_scaled(target.alphabet, degree, table, outer * common)

@@ -62,6 +62,20 @@ def test_pipeline_exp_apply(tmp_path):
     assert terms["x"] == "1/1"
 
 
+def test_apply_reads_numbered_letters_without_arity(tmp_path):
+    # five or more letters are named x1..xn; the target names only x5
+    braid = run("braid", "--i", "1", "--j", "5", "--strands", "5")
+    assert braid.returncode == 0
+    target = tmp_path / "x5.json"
+    target.write_text(json.dumps(
+        {"degreeN": 4, "terms": [{"word": "x5", "coeff": "1/1"}]}))
+    res = run("apply", "--input", "-", "--target", str(target), stdin=braid.stdout)
+    assert res.returncode == 0, res.stderr
+    # t^{15} sends x5 to [x5, x1] = -[x1 x5]
+    assert json.loads(res.stdout) == {
+        "degreeN": 4, "terms": [{"word": "x1x5", "coeff": "-1/1"}]}
+
+
 def test_kv_solve_smoke():
     res = run("kv-solve", "--degree", "3")
     assert res.returncode == 0

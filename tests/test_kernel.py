@@ -17,8 +17,8 @@ from kvlie import linalg
 from kvlie.cyclic import CycSeries, canonical_rotation, partial_decompose, tr_project
 from kvlie.derivations import TDer
 from kvlie.lie import LieSeries
-from kvlie.lyndon import is_lyndon, lyndon_words
-from kvlie.words import Alphabet, AssocSeries
+from kvlie.lyndon import bracket_structure, is_lyndon, lyndon_words
+from kvlie.words import Alphabet, AssocSeries, NotPrimitiveError
 
 A2 = Alphabet(2)
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -171,6 +171,186 @@ def test_generator_images_are_an_immutable_tuple():
     for i, a in enumerate(u.components):
         xi = AssocSeries.generator(A2, 4, i)
         assert images[i] == xi * a.to_assoc() - a.to_assoc() * xi
+
+
+# -- integer kernels against plain-Fraction references ------------------
+#
+# The word product, substitution, Leibniz action and Lyndon conversions run
+# on integer numerators over a common denominator.  Each reference below
+# computes the same table term by term in Fraction arithmetic.
+
+
+def ref_add(a, b, c=Fraction(1)):
+    """a + c*b as Fraction tables, zeros kept."""
+    table = dict(a)
+    for w, v in b.items():
+        table[w] = table.get(w, Fraction(0)) + c * v
+    return table
+
+
+def ref_product(a, b, degree):
+    table = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            if len(w1) + len(w2) <= degree:
+                table[w1 + w2] = table.get(w1 + w2, Fraction(0)) + c1 * c2
+    return table
+
+
+def ref_substitute(s, images, degree):
+    table = {}
+    for word, c in s.items():
+        term = {(): Fraction(1)}
+        for letter in word:
+            term = ref_product(term, images[letter], degree)
+        table = ref_add(table, term, c)
+    return table
+
+
+def ref_commutator(a, b, degree):
+    return ref_add(ref_product(a, b, degree), ref_product(b, a, degree), Fraction(-1))
+
+
+def ref_expand(struct, degree):
+    """Word expansion of a nested-pair bracketing by Fraction commutators."""
+    if isinstance(struct, int):
+        return {(struct,): Fraction(1)}
+    return ref_commutator(ref_expand(struct[0], degree), ref_expand(struct[1], degree),
+                          degree)
+
+
+def ref_to_assoc(lie):
+    table = {}
+    for word, c in lie.coeffs.items():
+        table = ref_add(table, ref_expand(bracket_structure(word), lie.degree), c)
+    return table
+
+
+def ref_apply_assoc(u, target):
+    images = [ref_commutator({(i,): Fraction(1)}, ref_to_assoc(a), u.degree)
+              for i, a in enumerate(u.components)]
+    table = {}
+    for word, c in target.items():
+        for pos, letter in enumerate(word):
+            left = ref_product({word[:pos]: Fraction(1)}, images[letter], u.degree)
+            table = ref_add(table, ref_product(left, {word[pos + 1:]: Fraction(1)},
+                                               u.degree), c)
+    return table
+
+
+def nonzero(table):
+    return {w: c for w, c in table.items() if c}
+
+
+def assert_stored(s, expected):
+    """``s`` stores exactly the nonzero entries of ``expected``, each of
+    them a Fraction, never an int."""
+    for c in s.coeffs.values():
+        assert type(c) is Fraction and c != 0
+    assert s.coeffs == nonzero(expected)
+
+
+# Denominators up to 10**6: primes just below it, prime powers, and numbers
+# sharing factors with those, so some pairs are coprime and some are not.
+DENOMINATORS = (1, 2, 3, 7, 64, 625, 999_961, 999_979, 999_983, 999_999, 10 ** 6)
+big_fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                          st.one_of(st.sampled_from(DENOMINATORS),
+                                    st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def coefficient_pools(draw):
+    """A few coefficients and their negatives.  Terms drawn from one small
+    pool often meet on a word with opposite values and cancel."""
+    base = draw(st.lists(big_fractions.filter(bool), min_size=1, max_size=3))
+    return st.sampled_from(base + [-c for c in base])
+
+
+@st.composite
+def pooled_assoc(draw, n, degree, pool, unital=True, max_size=7):
+    words = st.lists(st.integers(0, n - 1), min_size=0 if unital else 1,
+                     max_size=degree).map(tuple)
+    table = draw(st.dictionaries(words, pool, max_size=max_size))
+    return AssocSeries(Alphabet(n), degree, table, unital=unital)
+
+
+@st.composite
+def pooled_lie(draw, n, degree, pool):
+    keys = st.sampled_from(lyndon_words(n, degree))
+    return LieSeries(Alphabet(n), degree, draw(st.dictionaries(keys, pool, max_size=6)))
+
+
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+letters = st.integers(2, 4)
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, st.integers(1, 5))
+def test_product_matches_fraction_reference(data, n, degree):
+    pool = data.draw(coefficient_pools())
+    a = data.draw(pooled_assoc(n, degree, pool))
+    b = data.draw(pooled_assoc(n, degree, pool))
+    for left, right in ((a, b), (b, a), (a, a)):
+        assert_stored(left * right, ref_product(left.coeffs, right.coeffs, degree))
+
+
+def test_product_drops_cancelled_terms():
+    p, q = Fraction(1, 999_983), Fraction(-5, 7)
+    a = AssocSeries(A2, 3, {(0,): p, (0, 1): p})
+    b = AssocSeries(A2, 3, {(1, 0): q, (0,): -q})
+    expected = ref_product(a.coeffs, b.coeffs, 3)
+    assert expected[(0, 1, 0)] == 0  # x*yx cancels xy*x
+    assert_stored(a * b, expected)
+    assert (0, 1, 0) not in (a * b).coeffs
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, letters, st.integers(1, 4))
+def test_substitute_matches_fraction_reference(data, n, m, degree):
+    pool = data.draw(coefficient_pools())
+    s = data.draw(pooled_assoc(n, degree, pool))
+    images = [data.draw(pooled_assoc(m, degree, pool, unital=False, max_size=4))
+              for _ in range(n)]
+    assert_stored(s.substitute(images),
+                  ref_substitute(s.coeffs, [im.coeffs for im in images], degree))
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, st.integers(1, 5))
+def test_apply_assoc_matches_fraction_reference(data, n, degree):
+    pool = data.draw(coefficient_pools())
+    u = TDer([data.draw(pooled_lie(n, degree, pool)) for _ in range(n)])
+    for _ in range(2):  # the second target reuses the scaled generator images
+        target = data.draw(pooled_assoc(n, degree, pool))
+        assert_stored(u.apply_assoc(target), ref_apply_assoc(u, target.coeffs))
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, st.integers(1, 6))
+def test_to_assoc_matches_fraction_reference(data, n, degree):
+    a = data.draw(pooled_lie(n, degree, data.draw(coefficient_pools())))
+    assert_stored(a.to_assoc(), ref_to_assoc(a))
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, st.integers(2, 6))
+def test_from_assoc_inverts_to_assoc(data, n, degree):
+    pool = data.draw(coefficient_pools())
+    a = data.draw(pooled_lie(n, degree, pool))
+    words = AssocSeries(Alphabet(n), degree, nonzero(ref_to_assoc(a)))
+    back = LieSeries.from_assoc(words)
+    assert back == a
+    assert_stored(back, a.coeffs)
+    # a single word of length >= 2 is not a Lie element, so neither is the sum
+    word = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=degree)))
+    c = data.draw(pool)
+    with pytest.raises(NotPrimitiveError) as err:
+        LieSeries.from_assoc(words + AssocSeries(Alphabet(n), degree, {word: c}))
+    assert err.value.degree == len(word)
+    with pytest.raises(NotPrimitiveError) as err:
+        LieSeries.from_assoc(words + AssocSeries.one(Alphabet(n), degree).scale(c))
+    assert err.value.degree == 0
 
 
 # -- independent_subset -------------------------------------------------

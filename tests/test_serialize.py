@@ -3,12 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvlie import serialize
+from kvlie.automorphisms import TAutElem, taut_exp
+from kvlie.cyclic import tr_project
 from kvlie.derivations import TDer, classify
 from kvlie.graphs import KGraph
 from kvlie.lie import LieSeries
-from kvlie.words import Alphabet
+from kvlie.lyndon import lyndon_words
+from kvlie.words import Alphabet, AssocSeries
 
 from test_derivations import rand_tder
 from test_lie import rand_lie
@@ -64,6 +69,55 @@ def test_tder_and_taut_roundtrip():
     back = serialize.decode_taut(serialize.encode_taut(g))
     assert back == g
     assert taut_log(back) == u
+
+
+coefficients = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def word_series(draw, n, degree):
+    words = st.lists(st.integers(0, n - 1), max_size=degree).map(tuple)
+    table = draw(st.dictionaries(words, coefficients, max_size=6))
+    return AssocSeries(Alphabet(n), degree, table, unital=() in table)
+
+
+@st.composite
+def lie_series(draw, n, degree):
+    keys = st.sampled_from(lyndon_words(n, degree))
+    return LieSeries(Alphabet(n), degree, draw(st.dictionaries(keys, coefficients,
+                                                               max_size=4)))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(2, 6), st.integers(1, 3))
+def test_encode_decode_roundtrip(data, n, degree):
+    word = data.draw(word_series(n, degree))
+    lie = data.draw(lie_series(n, degree))
+    cyc = tr_project(word - word.homogeneous(0))
+    for s, kind in ((lie, "lie"), (word, "assoc"), (cyc, "cyclic")):
+        assert serialize.decode_series(serialize.encode_series(s), kind, n=n) == s
+    u = TDer([data.draw(lie_series(n, degree)) for _ in range(n)])
+    assert serialize.decode_tder(serialize.encode_tder(u)) == u
+    g = taut_exp(u)
+    # with the log certificate, and without it (the images are then checked)
+    for h in (g, TAutElem(g.images)):
+        assert serialize.decode_taut(serialize.encode_taut(h)) == h
+
+
+@pytest.mark.parametrize("names, n", [(["x5"], 5), (["x3"], 5), (["x2", "x1x7"], 7),
+                                      (["", "x12x1"], 12)])
+def test_numbered_names_imply_five_or_more_letters(names, n):
+    doc = {"degreeN": 3, "terms": [{"word": w, "coeff": "1/2"} for w in names]}
+    s = serialize.decode_series(doc, "assoc")
+    assert s.alphabet == Alphabet(n)
+    assert serialize.encode_series(s) == doc
+
+
+@pytest.mark.parametrize("names", [["x0"], ["x", "x5"], ["x5y"]])
+def test_malformed_numbered_names_rejected(names):
+    doc = {"degreeN": 3, "terms": [{"word": w, "coeff": "1/1"} for w in names]}
+    with pytest.raises(ValueError, match="cannot parse word"):
+        serialize.decode_series(doc, "assoc")
 
 
 def test_flags_encoding():
