@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .cyclic import CycSeries, partial_decompose, tr_project
 from .lie import LieSeries
-from .lyndon import lyndon_basis
+from .lyndon import bracket_structure, lyndon_basis
 from .words import Alphabet, AmbientMismatch, AssocSeries, Word, _by_length, _scaled
 
 
@@ -292,25 +293,23 @@ def tder_coords(u: TDer, d: int) -> List[Fraction]:
     return out
 
 
-def braid_bracket_basis(n: int, d: int, degree: int) -> List[Tuple[tuple, TDer]]:
-    """Independent degree-d brackets of the embedded t^{ij}.
+@lru_cache(maxsize=None)
+def _braid_basis(n: int, d: int) -> Tuple[Tuple[Tuple[tuple, TDer], ...], linalg.Echelon]:
+    """The degree-d braid bracket basis of t_n at truncation d, and the
+    echelon form of its coordinate vectors; built once per (n, d).
 
-    Spanning set: standard bracketings of Lyndon words over the generator
-    pairs; an independent subset is extracted by exact elimination.  Each
-    entry is (bracket expression over pairs, embedded derivation).
+    A d-fold bracket of degree-1 generators is homogeneous of degree d, so
+    truncation d computes it exactly.  Callers validate (n, d) first.
     """
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    gens = [braid_embed(BraidGenerator(i, j, n), degree) for (i, j) in pairs]
-
-    from .lyndon import bracket_structure, lyndon_basis as lyndon_of
-
-    cache: dict = {}
+    gens = [braid_embed(BraidGenerator(i, j, n), d) for (i, j) in pairs]
+    realized: Dict[object, TDer] = {}
 
     def realize(struct):
-        if struct not in cache:
-            cache[struct] = (gens[struct] if isinstance(struct, int) else
-                             realize(struct[0]).bracket(realize(struct[1])))
-        return cache[struct]
+        if struct not in realized:
+            realized[struct] = (gens[struct] if isinstance(struct, int) else
+                                realize(struct[0]).bracket(realize(struct[1])))
+        return realized[struct]
 
     def label(struct):
         if isinstance(struct, int):
@@ -318,17 +317,46 @@ def braid_bracket_basis(n: int, d: int, degree: int) -> List[Tuple[tuple, TDer]]
         return (label(struct[0]), label(struct[1]))
 
     candidates = []
-    for word in lyndon_of(len(pairs), d):
+    for word in lyndon_basis(len(pairs), d):
         struct = bracket_structure(word)
         candidates.append((label(struct), realize(struct)))
-    vectors = [tder_coords(u, d) for (_lbl, u) in candidates]
-    keep = linalg.independent_subset(vectors)
-    return [candidates[i] for i in keep]
+    echelon = linalg.Echelon([tder_coords(u, d) for (_lbl, u) in candidates])
+    return tuple(candidates[i] for i in echelon.chosen), echelon
+
+
+def _check_braid_key(n: int, d: int) -> None:
+    if n < 2:
+        raise ValueError(f"braid brackets need at least 2 strands, not {n}")
+    if d < 1:
+        raise ValueError(f"braid bracket degree must be >= 1, not {d}")
+
+
+def braid_bracket_basis(n: int, d: int, degree: int) -> List[Tuple[tuple, TDer]]:
+    """Independent degree-d brackets of the embedded t^{ij}, at truncation
+    ``degree`` (at least d).
+
+    Spanning set: standard bracketings of Lyndon words over the generator
+    pairs; an independent subset is extracted by exact elimination.  Each
+    entry is (bracket expression over pairs, embedded derivation).  The
+    basis is built once per process for each (n, d); every call returns a
+    fresh list.
+    """
+    _check_braid_key(n, d)
+    if degree < d:
+        raise ValueError(f"truncation {degree} is below the bracket degree {d}")
+    entries, _echelon = _braid_basis(n, d)
+    return [(lbl, e.truncated(degree)) for lbl, e in entries]
 
 
 def tn_membership(u: TDer, d: Optional[int] = None):
     """Coordinates of a homogeneous derivation on the degree-d braid bracket
-    basis, or None when it lies outside the span."""
+    basis, or None when it lies outside the span.
+
+    u needs at least 2 generators; d runs from 1 to u's truncation.
+    """
+    if d is not None and not 1 <= d <= u.degree:
+        raise ValueError(f"membership degree {d} outside 1..{u.degree}, "
+                         f"the derivation's truncation")
     degs = {deg for a in u.components for deg in {len(w) for w in a.coeffs}}
     if d is None:
         if len(degs) != 1:
@@ -336,9 +364,9 @@ def tn_membership(u: TDer, d: Optional[int] = None):
         d = degs.pop()
     elif degs - {d}:
         raise ValueError("membership input must be homogeneous of the stated degree")
-    basis = braid_bracket_basis(u.alphabet.n, d, u.degree)
-    vectors = [tder_coords(b, d) for (_lbl, b) in basis]
-    coords = linalg.in_span(vectors, tder_coords(u, d))
+    _check_braid_key(u.alphabet.n, d)
+    entries, echelon = _braid_basis(u.alphabet.n, d)
+    coords = echelon.coordinates(tder_coords(u, d))
     if coords is None:
         return None
-    return [(lbl, c) for (lbl, _), c in zip(basis, coords)]
+    return [(lbl, c) for (lbl, _), c in zip(entries, coords)]

@@ -16,6 +16,8 @@ Word = Tuple[int, ...]
 
 def lyndon_words(n_letters: int, max_len: int) -> List[Word]:
     """All Lyndon words over 0..n_letters-1 of length 1..max_len (Duval)."""
+    if n_letters < 1:
+        raise ValueError("Lyndon words need at least one letter")
     out: List[Word] = []
     w = [-1]
     while w:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -353,6 +354,16 @@ def _residual_vector(res: Dict[str, TDer], d: int) -> List[Fraction]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _associator_operator(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Rows of the linearised axiom operator on the degree-d braid bracket
+    basis: one column per basis element, built once per degree.  It depends
+    on neither phi, the parity nor the hexagon sign."""
+    columns = [_residual_vector(_linear_residuals(e), d)
+               for _lbl, e in braid_bracket_basis(3, d, d)]
+    return tuple(zip(*columns))
+
+
 def solve_associator(degree: int, parity: str = "even",
                      hexagon_sign: int = 1) -> Tuple[AssociatorCandidate, DegreeReport]:
     """Solve duality + pentagon + hexagon for log(Phi) in the braid span.
@@ -384,12 +395,8 @@ def solve_associator(degree: int, parity: str = "even",
             coords[d] = []
             continue
         basis = braid_bracket_basis(3, d, degree + 1)
-        r0 = _residual_vector(_log_residuals(phi, d, hexagon_sign), d)
-        columns = [_residual_vector(_linear_residuals(e.truncated(d)), d)
-                   for _lbl, e in basis]
-        a = [[columns[j][r] for j in range(len(columns))] for r in range(len(r0))]
-        b = [-v for v in r0]
-        particular, null = linalg.solve_affine(a, b)
+        b = [-v for v in _residual_vector(_log_residuals(phi, d, hexagon_sign), d)]
+        particular, null = linalg.solve_affine(_associator_operator(d), b)
         if particular is None:
             raise RuntimeError(f"associator system infeasible at degree {d}")
         solution = linalg.min_norm_pick(particular, null)

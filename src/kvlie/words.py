@@ -31,6 +31,11 @@ Word = Tuple[int, ...]
 
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
+# Largest alphabet accepted.  Names are built eagerly, and every exact
+# computation grows with the number of letters, so a larger n can only come
+# from a malformed input.
+MAX_LETTERS = 64
+
 
 class AmbientMismatch(ValueError):
     """Raised when two series disagree on kind, alphabet or truncation order."""
@@ -52,8 +57,8 @@ class Alphabet:
     names: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("alphabet needs at least one generator")
+        if not 1 <= self.n <= MAX_LETTERS:
+            raise ValueError(f"alphabet needs 1 to {MAX_LETTERS} generators, not {self.n}")
         if not self.names:
             if self.n <= len(_DEFAULT_NAMES):
                 names = _DEFAULT_NAMES[: self.n]

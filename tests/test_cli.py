@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from kvlie import cli
+
 KVLIE = [sys.executable, "-m", "kvlie.cli"]
 
 
-def run(*args, stdin=None):
+def run(*args, stdin=None, timeout=None):
     return subprocess.run(KVLIE + list(args), input=stdin,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_bch_output():
@@ -268,3 +270,50 @@ def test_byte_determinism():
     mc2 = run("weight", "mc", "--input", "-", "--samples", "20000",
               "--seed", "9", stdin=g)
     assert mc1.stdout == mc2.stdout
+
+
+def zero_tder_doc(n, degree=3):
+    return json.dumps({"n": n, "components": [{"degreeN": degree, "terms": []}] * n})
+
+
+def test_membership_on_one_letter_exit_2():
+    # braid brackets need two strands; the timeout guards Duval's loop, which
+    # never ends on the empty alphabet of pairs
+    res = run("membership", "--input", "-", "--homogeneous-degree", "2",
+              stdin=zero_tder_doc(1), timeout=60)
+    assert res.returncode == 2
+    assert "2 strands" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("degree", ["0", "-3", "9"])
+def test_membership_degree_out_of_range_exit_2(degree):
+    res = run("membership", "--input", "-", "--homogeneous-degree", degree,
+              stdin=zero_tder_doc(3))
+    assert res.returncode == 2
+    assert "outside 1..3" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args,stdin", [
+    (["classify", "--input", "-"], zero_tder_doc(65)),
+    (["extend", "--input", "-", "--pattern", "1,2", "--arity", "65"], zero_tder_doc(2)),
+    (["braid", "--i", "1", "--j", "2", "--strands", "65"], None),
+    # apply reads (and rejects) its target before its input
+    (["apply", "--input", "-", "--target", "-"],
+     json.dumps({"degreeN": 1, "terms": [{"word": "x2000000", "coeff": "1/1"}]})),
+], ids=["document_n", "arity", "strands", "numbered_name"])
+def test_alphabet_above_bound_exit_2(args, stdin):
+    res = run(*args, stdin=stdin, timeout=60)
+    assert res.returncode == 2
+    assert "1 to 64 generators" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_main_reuses_one_parser(capsys):
+    assert cli._parser() is cli._parser()
+    runs = []
+    for argv in (["bch", "--degree", "3"], ["braid", "--i", "1", "--j", "9"],
+                 ["bch"], ["bch", "--degree", "3"]):
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0][0] == 0 and runs[0] == runs[3]
+    assert runs[1] == (2, "")
+    assert runs[2][0] == 0 and json.loads(runs[2][1])["degreeN"] == 6

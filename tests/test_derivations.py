@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kvlie import linalg
 from kvlie.cyclic import CycSeries
 from kvlie.derivations import (BraidGenerator, TDer, braid_bracket_basis,
                                braid_embed, classify, divergence,
-                               parse_pattern, tder_extend,
+                               parse_pattern, tder_coords, tder_extend,
                                tn_membership)
 from kvlie.lie import LieSeries
-from kvlie.lyndon import lyndon_basis
+from kvlie.lyndon import bracket_structure, lyndon_basis
 from kvlie.words import Alphabet
 
 from test_lie import rand_lie
@@ -157,3 +160,94 @@ def test_tn_membership():
     z = LieSeries.zero(Alphabet(3), degree)
     outside = TDer([z, x.bracket(LieSeries.generator(Alphabet(3), degree, 2)), z])
     assert tn_membership(outside, 2) is None
+
+
+def uncached_braid_basis(n, d, degree):
+    """Every Lyndon word over the pairs bracketed at truncation ``degree``,
+    then the independent subset: the construction without any cache."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    gens = [braid_embed(BraidGenerator(i, j, n), degree) for i, j in pairs]
+
+    def realize(struct):
+        if isinstance(struct, int):
+            return pairs[struct], gens[struct]
+        (l1, u1), (l2, u2) = realize(struct[0]), realize(struct[1])
+        return (l1, l2), u1.bracket(u2)
+
+    candidates = [realize(bracket_structure(w)) for w in lyndon_basis(len(pairs), d)]
+    keep = linalg.independent_subset([tder_coords(u, d) for _lbl, u in candidates])
+    return [candidates[i] for i in keep]
+
+
+@pytest.mark.parametrize("n,d", [(3, d) for d in range(1, 6)] + [(4, d) for d in range(1, 4)])
+def test_braid_bracket_basis_matches_uncached(n, d):
+    for degree in (d, d + 1):
+        basis = braid_bracket_basis(n, d, degree)
+        assert basis == uncached_braid_basis(n, d, degree)
+        assert all(e.degree == degree for _lbl, e in basis)
+
+
+def test_braid_bracket_basis_returns_a_fresh_list():
+    first = braid_bracket_basis(3, 3, 4)
+    want = list(first)
+    first.clear()
+    second = braid_bracket_basis(3, 3, 4)
+    assert second == want
+    second[0] = ("junk", second[1][1])
+    assert braid_bracket_basis(3, 3, 4) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: braid_bracket_basis(1, 2, 3),
+    lambda: braid_bracket_basis(3, 0, 3),
+    lambda: braid_bracket_basis(3, -1, 3),
+    lambda: braid_bracket_basis(3, 3, 2),
+], ids=["one_strand", "degree_0", "degree_negative", "truncation_below_degree"])
+def test_braid_bracket_basis_rejects_bad_keys(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("d", [0, -3, 4, 9])
+def test_tn_membership_degree_range(d):
+    # u is truncated at 3: the degree must lie in 1..3
+    u = TDer.zero(Alphabet(3), 3)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        tn_membership(u, d)
+
+
+def test_tn_membership_needs_two_strands():
+    u = TDer([LieSeries.zero(Alphabet(1), 3)])
+    with pytest.raises(ValueError, match="2 strands"):
+        tn_membership(u, 2)
+
+
+def outside_t3(d):
+    """(0, ad(x)^(d-1) z, 0): a degree-d derivation no braid bracket reaches."""
+    alphabet = Alphabet(3)
+    a = LieSeries.generator(alphabet, d, 2)
+    for _ in range(d - 1):
+        a = LieSeries.generator(alphabet, d, 0).bracket(a)
+    zero = LieSeries.zero(alphabet, d)
+    return TDer([zero, a, zero])
+
+
+@st.composite
+def braid_combinations(draw):
+    d = draw(st.integers(2, 5))
+    basis = braid_bracket_basis(3, d, d)
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                           min_size=len(basis), max_size=len(basis)))
+    return d, basis, coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_combinations())
+def test_tn_membership_coordinates_rebuild(case):
+    d, basis, coeffs = case
+    u = TDer.zero(Alphabet(3), d)
+    for c, (_lbl, e) in zip(coeffs, basis):
+        u = u + e.scale(c)
+    if u:
+        assert tn_membership(u) == [(lbl, c) for c, (lbl, _e) in zip(coeffs, basis)]
+    assert tn_membership(u + outside_t3(d), d) is None

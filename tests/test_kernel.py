@@ -395,3 +395,19 @@ def candidate_lists(draw):
 @given(candidate_lists())
 def test_independent_subset_matches_rank_scan(vectors):
     assert linalg.independent_subset(vectors) == rank_scan_reference(vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_lists(), st.data())
+def test_echelon_coordinates_match_in_span(vectors, data):
+    echelon = linalg.Echelon(vectors)
+    kept = [vectors[i] for i in echelon.chosen]
+    width = len(vectors[0]) if vectors else 1
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    coeffs = data.draw(st.lists(entry, min_size=len(kept), max_size=len(kept)))
+    inside = [sum((c * v[j] for c, v in zip(coeffs, kept)), Fraction(0))
+              for j in range(width)]
+    if kept:
+        assert echelon.coordinates(inside) == coeffs
+    anywhere = data.draw(st.lists(entry, min_size=width, max_size=width))
+    assert echelon.coordinates(anywhere) == linalg.in_span(kept, anywhere)

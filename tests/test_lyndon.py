@@ -1,8 +1,10 @@
 """Lyndon word machinery against brute-force oracles."""
 from itertools import product
 
+import pytest
+
 from kvlie.lyndon import (bracket_expansion, bracket_structure, is_lyndon,
-                          lyndon_basis, standard_factorization)
+                          lyndon_basis, lyndon_words, standard_factorization)
 
 
 def brute_lyndon(n, length):
@@ -58,3 +60,10 @@ def test_bracket_structure_leaves():
             return leaves(s[0]) + leaves(s[1])
 
         assert leaves(struct) == w
+
+
+@pytest.mark.parametrize("letters", [0, -1])
+def test_lyndon_words_need_a_letter(letters):
+    # Duval's loop never ends on an empty alphabet
+    with pytest.raises(ValueError):
+        lyndon_words(letters, 3)

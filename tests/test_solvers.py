@@ -7,7 +7,8 @@ import pytest
 from kvlie.automorphisms import TAutElem, taut_exp, taut_log
 from kvlie.derivations import TDer, braid_bracket_basis, tder_coords, tder_extend
 from kvlie.lie import LieSeries
-from kvlie.solvers import (_bch_chain, _braid_tders, _linear_residuals,
+from kvlie.solvers import (_associator_operator, _bch_chain, _braid_tders,
+                           _linear_residuals,
                            _log_residuals, _residual_vector,
                            _tder_cap, check_associator_axioms,
                            check_f_symmetries, solve_associator, solve_kv,
@@ -189,6 +190,7 @@ def test_operator_columns_match_finite_differences(parity, sign):
                 _residual_vector(_linear_residuals(e.truncated(d)), d))
             assert columns[-1] == [ri - r0i for ri, r0i in zip(r, r0)]
         assert any(any(c) for c in columns)
+        assert [list(c) for c in zip(*_associator_operator(d))] == columns
 
 
 @pytest.mark.parametrize("parity,sign", SOLVES)

@@ -7,7 +7,7 @@ import pytest
 
 from kvlie.cyclic import CycSeries
 from kvlie.lie import LieSeries
-from kvlie.words import Alphabet, AmbientMismatch, AssocSeries
+from kvlie.words import MAX_LETTERS, Alphabet, AmbientMismatch, AssocSeries
 
 
 A2 = Alphabet(2)
@@ -122,3 +122,10 @@ def test_word_name_roundtrip():
     a5 = Alphabet(5)
     w = (0, 4, 2)
     assert a5.parse_word(a5.word_name(w)) == w
+
+
+def test_alphabet_size_is_bounded():
+    assert Alphabet(MAX_LETTERS).names[-1] == f"x{MAX_LETTERS}"
+    for n in (0, MAX_LETTERS + 1, 2_000_000):
+        with pytest.raises(ValueError, match="generators"):
+            Alphabet(n)
