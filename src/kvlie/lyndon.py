@@ -19,7 +19,7 @@ def lyndon_words(n_letters: int, max_len: int) -> List[Word]:
     if n_letters < 1:
         raise ValueError("Lyndon words need at least one letter")
     out: List[Word] = []
-    w = [-1]
+    w = [-1] if max_len >= 1 else []
     while w:
         w[-1] += 1
         out.append(tuple(w))

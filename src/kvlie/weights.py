@@ -9,6 +9,7 @@ quadrature, generic small graphs by importance-sampled Monte Carlo.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -58,30 +59,38 @@ def angle(p: complex, q: complex, kind: str = "hyperbolic") -> float:
     return cmath.phase((q - p) / (q - p.conjugate()))
 
 
-def angle_gradient(p: complex, q: complex,
-                   kind: str = "hyperbolic") -> Tuple[float, float, float, float]:
-    """Partials (d/dpx, d/dpy, d/dqx, d/dqy) of the angle, in closed form.
+def _angle_partials(p, q, hyperbolic: bool = True):
+    """Closed-form partials (d/dpx, d/dpy, d/dqx, d/dqy) of the angle, on
+    complex scalars or elementwise on complex arrays.
 
     A coordinate t moving w by dw/dt moves arg(w) by Im((dw/dt) / w).  The
-    hyperbolic angle is arg(w1) - arg(w2) with w1 = q - p, w2 = q - conj(p)
-    (these are the rows ``_angle_rows`` fills in); the euclidean one is
-    arg(w1) alone.  For p on the real axis w1 = w2, so d/dpx, d/dqx and
-    d/dqy vanish exactly, while d/dpy = -2 Re(1/w1) does not.
+    hyperbolic angle is arg(w1) - arg(w2) with w1 = q - p, w2 = q - conj(p);
+    the euclidean one is arg(w1) alone.  For p on the real axis w1 = w2, so
+    d/dpx, d/dqx and d/dqy vanish exactly, while d/dpy = -2 Re(1/w1) does not.
     """
+    i1, r1 = _over_norm(q - p)
+    i2, r2 = _over_norm(q - p.conjugate()) if hyperbolic else (0.0, 0.0)
+    return i1 - i2, -r1 - r2, i2 - i1, r1 - r2
+
+
+def _over_norm(w):
+    """(Im w, Re w) / |w|^2, which is (-Im(1/w), Re(1/w))."""
+    a = 1.0 / (w.real ** 2 + w.imag ** 2)
+    return w.imag * a, w.real * a
+
+
+def angle_gradient(p: complex, q: complex,
+                   kind: str = "hyperbolic") -> Tuple[float, float, float, float]:
+    """Partials (d/dpx, d/dpy, d/dqx, d/dqy) of the angle, in closed form."""
     angle(p, q, kind)  # the same domain checks
-    p = complex(p)
-    q = complex(q)
-    z1 = 1.0 / (q - p)
-    z2 = 1.0 / (q - p.conjugate()) if kind == "hyperbolic" else 0j
-    return (z2.imag - z1.imag, -z1.real - z2.real,
-            z1.imag - z2.imag, z1.real - z2.real)
+    return _angle_partials(complex(p), complex(q), kind == "hyperbolic")
 
 
 def example_weight_quadrature(tolerance: float = 1e-10) -> WeightEstimate:
     """The closed-form one-form -(log(1-s)/s + log(s)/(1-s))/(8 pi^2)
     integrated over (0,1); the exact value is 1/24."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
 
     def integrand(s: float) -> float:
         return -(math.log1p(-s) / s + math.log(s) / (1.0 - s)) / (8.0 * math.pi ** 2)
@@ -116,8 +125,6 @@ def _sample_points(rng: np.random.Generator, count: int) -> np.ndarray:
     for idx, (_w, center, kind) in enumerate(_MIX):
         mask = which == idx
         k = int(mask.sum())
-        if not k:
-            continue
         centers[mask] = center
         if kind == "disk":
             r[mask] = rng.uniform(0.0, _DISK_RADIUS, size=k)
@@ -140,31 +147,32 @@ def _proposal_density(z: np.ndarray) -> np.ndarray:
     return dens
 
 
-def _angle_rows(z: np.ndarray, edges: Sequence, n: int) -> np.ndarray:
-    """Jacobian of the edge angles with respect to the 2n aerial
-    coordinates (x_1, y_1, ..., x_n, y_n), per sample.
-
-    z has shape (batch, n); the result has shape (batch, 2n, 2n).
-    """
-    batch = z.shape[0]
-    mat = np.zeros((batch, 2 * n, 2 * n))
-    ground_pos = {"g1": 0.0, "g2": 1.0}
+def _angle_det(z: np.ndarray, edges: Sequence, n: int) -> np.ndarray:
+    """Per-sample determinant of the Jacobian of the edge angles (rows in edge
+    order) in x_1, y_1, ..., x_n, y_n, for z of shape (batch, n), n <= 2.
+    blocks[v - 1] maps each row moving with v to its partials along x_v, y_v
+    (its only nonzeros); the expansion in 2x2 minors skips absent rows."""
+    blocks = [{} for _ in range(n)]
     for row, (src, tgt) in enumerate(edges):
-        p = z[:, src - 1]
-        q = (np.full(batch, ground_pos[tgt]) if tgt in GROUNDS
-             else z[:, tgt - 1])
-        w1 = q - p
-        w2 = q - np.conj(p)
-        a1 = 1.0 / (w1.real ** 2 + w1.imag ** 2)
-        a2 = 1.0 / (w2.real ** 2 + w2.imag ** 2)
-        pi = 2 * (src - 1)
-        mat[:, row, pi] += w1.imag * a1 - w2.imag * a2
-        mat[:, row, pi + 1] += -w1.real * a1 - w2.real * a2
-        if tgt not in GROUNDS:
-            qi = 2 * (tgt - 1)
-            mat[:, row, qi] += -w1.imag * a1 + w2.imag * a2
-            mat[:, row, qi + 1] += w1.real * a1 - w2.real * a2
-    return mat
+        grounded = tgt in GROUNDS  # g1 sits at 0, g2 at 1
+        q = float(GROUNDS.index(tgt)) if grounded else z[:, tgt - 1]
+        dpx, dpy, dqx, dqy = _angle_partials(z[:, src - 1], q)
+        blocks[src - 1][row] = dpx, dpy
+        if not grounded:
+            blocks[tgt - 1][row] = dqx, dqy
+    if n < 2:
+        return _cross(*blocks[0].values()) if n else 1.0
+    total = 0.0
+    for a, b in itertools.combinations(blocks[0], 2):
+        c, d = sorted({0, 1, 2, 3} - {a, b})
+        if {c, d} <= blocks[1].keys():
+            term = _cross(blocks[0][a], blocks[0][b]) * _cross(blocks[1][c], blocks[1][d])
+            total = total + term if (a + b) % 2 else total - term
+    return total
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
@@ -175,7 +183,8 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
 
     Ground vertices sit at 0 and 1 (the scaling/translation gauge).
     Deterministic for a fixed (seed, streams) pair; the sample budget is
-    split evenly over independent child seed streams and recombined.
+    split over independent child seed streams, the remainder going one
+    each to the first streams, and recombined.
     """
     if graph.n > 2:
         raise ValueError("Monte Carlo weights are limited to n <= 2")
@@ -184,33 +193,31 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
     if not 1 <= streams <= samples:
         raise ValueError(
             f"need 1 <= streams <= samples, got {streams} streams for {samples} samples")
+    if batch < 1:
+        raise ValueError(f"need a batch of at least 1 sample, got {batch}")
     n = graph.n
     norm = ORIENTATION_SIGN / TWO_PI ** (2 * n)
     children = np.random.SeedSequence(seed).spawn(streams)
     total = 0.0
     total_sq = 0.0
     kept = 0
-    rejected = 0
-    per_stream = samples // streams
-    for child in children:
+    per_stream, extra = divmod(samples, streams)
+    for index, child in enumerate(children):
         rng = np.random.default_rng(child)
-        todo = per_stream
+        todo = per_stream + (index < extra)
         while todo > 0:
             k = min(batch, todo)
             todo -= k
             z = _sample_points(rng, k * n).reshape(k, n)
             dens = np.prod(_proposal_density(z), axis=1)
-            det = np.linalg.det(_angle_rows(z, graph.edges, n))
+            det = _angle_det(z, graph.edges, n)
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = norm * det / dens
-            good = np.isfinite(vals)
-            rejected += int(k - good.sum())
-            vals = vals[good]
+            vals = vals[np.isfinite(vals)]
             kept += vals.size
             total += float(vals.sum())
             total_sq += float(np.square(vals).sum())
-    used = kept + rejected
-    rate = rejected / used if used else 1.0
+    rate = (samples - kept) / samples
     if rate > max_rejection:
         raise RuntimeError(
             f"degenerate sample rate {rate:.4f} above threshold {max_rejection}")

@@ -192,6 +192,24 @@ def test_weight_verbs():
     assert est["seed"] == 4
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_weight_example_bad_tolerance_exit_2(tol):
+    # NaN and Infinity are not JSON, so they must not reach stdout
+    res = run("weight", "example", "--tol", tol)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "tolerance" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_weight_mc_draws_the_whole_budget():
+    # 10 samples over 4 streams: the first two streams draw 3, the rest 2
+    g = json.dumps({"n": 1, "m": 2, "edges": [[1, "g1"], [1, "g2"]]})
+    res = run("weight", "mc", "--input", "-", "--samples", "10",
+              "--streams", "4", stdin=g)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["samples"] == 10
+
+
 @pytest.mark.parametrize("streams", ["0", "1001"])
 def test_weight_mc_bad_streams_exit_2(streams):
     g = json.dumps({"n": 1, "m": 2, "edges": [[1, "g1"], [1, "g2"]]})

@@ -67,3 +67,9 @@ def test_lyndon_words_need_a_letter(letters):
     # Duval's loop never ends on an empty alphabet
     with pytest.raises(ValueError):
         lyndon_words(letters, 3)
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_lyndon_words_below_length_one_are_empty(max_len):
+    # lengths 1..max_len is an empty range
+    assert lyndon_words(2, max_len) == []

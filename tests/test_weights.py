@@ -1,12 +1,14 @@
 """Angle maps and numeric graph weights (floats live only here)."""
+import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
-from kvlie.graphs import KGraph
-from kvlie.weights import (angle, angle_gradient, example_weight_quadrature,
-                           weight_montecarlo)
+from kvlie.graphs import GROUNDS, KGraph
+from kvlie.weights import (_angle_det, angle, angle_gradient,
+                           example_weight_quadrature, weight_montecarlo)
 
 
 def test_angle_anchors():
@@ -66,8 +68,9 @@ def test_quadrature_value():
     est = example_weight_quadrature(tolerance=1e-10)
     assert est.method == "quadrature"
     assert est.value == pytest.approx(1.0 / 24.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        example_weight_quadrature(tolerance=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            example_weight_quadrature(tolerance=bad)
 
 
 def test_quadrature_integrand_pieces():
@@ -134,3 +137,83 @@ def test_montecarlo_input_validation():
                      (3, "g1"), (3, "g2")])
     with pytest.raises(ValueError):
         weight_montecarlo(big)
+
+
+def admissible_graphs(n):
+    """Every graph on n aerial vertices whose vertices each send two edges
+    to distinct other vertices, edges in a fixed order."""
+    choices = [itertools.combinations([t for t in range(1, n + 1) if t != v]
+                                      + list(GROUNDS), 2)
+               for v in range(1, n + 1)]
+    for targets in itertools.product(*choices):
+        yield KGraph(n, [(v, t) for v, pair in enumerate(targets, 1) for t in pair])
+
+
+def dense_jacobian(z, graph):
+    """The edge-angle Jacobian of one configuration, entry by entry."""
+    ground = {"g1": 0.0, "g2": 1.0}
+    mat = np.zeros((2 * graph.n, 2 * graph.n))
+    for row, (src, tgt) in enumerate(graph.edges):
+        q = ground[tgt] if tgt in GROUNDS else z[tgt - 1]
+        dpx, dpy, dqx, dqy = angle_gradient(z[src - 1], q)
+        mat[row, 2 * src - 2:2 * src] = dpx, dpy
+        if tgt not in GROUNDS:
+            mat[row, 2 * tgt - 2:2 * tgt] = dqx, dqy
+    return mat
+
+
+def test_admissible_graph_counts():
+    assert [len(list(admissible_graphs(n))) for n in (0, 1, 2)] == [1, 1, 9]
+
+
+@pytest.mark.parametrize("graph", [g for n in (1, 2) for g in admissible_graphs(n)],
+                         ids=lambda g: repr(g.edges))
+def test_angle_det_matches_dense_determinant(graph):
+    rng = np.random.default_rng(20)
+    z = rng.uniform(-1.0, 2.0, (16, graph.n)) + 1j * rng.uniform(0.05, 2.0, (16, graph.n))
+    # every order of the rows, so that vertex 2's edges also come first
+    for order in itertools.permutations(range(len(graph.edges))):
+        ordered = graph.with_edge_order(list(order))
+        got = _angle_det(z, ordered.edges, graph.n)
+        for zs, det in zip(z, got):
+            mat = dense_jacobian(zs, ordered)
+            hadamard = np.prod(np.linalg.norm(mat, axis=1))
+            assert abs(det - np.linalg.det(mat)) <= 1e-12 * hadamard
+
+
+def test_angle_det_without_aerial_vertices_is_one():
+    assert np.all(_angle_det(np.zeros((5, 0), complex), (), 0) == 1.0)
+
+
+# the anchors of the two-vertex graphs: the trees carry the BCH
+# coefficient 1/12, the wheel the Duflo coefficient -1/24
+@pytest.mark.parametrize("edges, exact", [
+    (((1, "g1"), (1, 2), (2, "g1"), (2, "g2")), 1 / 12),
+    (((1, 2), (1, "g2"), (2, "g1"), (2, "g2")), 1 / 12),
+    (((1, 2), (1, "g1"), (2, 1), (2, "g2")), -1 / 24),
+])
+def test_montecarlo_two_vertex_anchors(edges, exact):
+    est = weight_montecarlo(KGraph(2, edges), samples=200_000, seed=13, streams=2)
+    assert abs(est.value - exact) <= 6.0 * est.stderr
+
+
+@pytest.mark.parametrize("ground", GROUNDS)
+def test_montecarlo_symmetric_wheels_vanish(ground):
+    # scaling about the shared ground point fixes all four angles, so the
+    # Jacobian is singular at every configuration
+    graph = KGraph(2, ((1, 2), (1, ground), (2, 1), (2, ground)))
+    est = weight_montecarlo(graph, samples=200_000, seed=13, streams=2)
+    assert abs(est.value) <= 1e-12
+
+
+@pytest.mark.parametrize("samples, streams", [(10, 4), (7, 3), (1001, 2)])
+def test_montecarlo_draws_the_whole_budget(samples, streams):
+    est = weight_montecarlo(single_edge_graph(), samples=samples, streams=streams)
+    assert est.samples + round(est.rejection_rate * samples) == samples
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_montecarlo_rejects_an_empty_batch(batch):
+    with pytest.raises(ValueError):
+        weight_montecarlo(single_edge_graph(), samples=10, batch=batch)
+
