@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -321,6 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=int, default=1)
 
     p = add("angle", _cmd_angle, help="hyperbolic or euclidean angle map")
+    # argparse reads a value as an option when it starts with "-" and is not
+    # a plain negative number; this verb has no option of that shape, so a
+    # point such as -1+0.5j after --p or --q is taken as the value
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--kind", choices=["hyperbolic", "euclidean"],

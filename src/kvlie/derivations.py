@@ -14,20 +14,23 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .cyclic import CycSeries, partial_decompose, tr_project
-from .lie import LieSeries
+from .lie import LieSeries, _expand, _solve
 from .lyndon import bracket_structure, lyndon_basis
-from .words import Alphabet, AmbientMismatch, AssocSeries, Word, _by_length, _scaled
+from .words import (Alphabet, AmbientMismatch, AssocSeries, Word, _by_length, _scaled,
+                    _times)
 
 
 class TDer:
     """Tangential derivation u = (a_1, ..., a_n).
 
-    Immutable: the generator images, and for ``apply_assoc`` their integer
-    numerators over a common denominator grouped by word length, are
-    computed on first use and kept for the life of the object.
+    Immutable.  On first use it builds its integer word view, kept for the
+    life of the object: the word expansions A_k of its components and the
+    Leibniz images x_k A_k - A_k x_k, as integer numerators over one common
+    denominator, grouped by word length.  The action and the bracket run on
+    that view.
     """
 
-    __slots__ = ("alphabet", "degree", "components", "_images", "_scaled_images")
+    __slots__ = ("alphabet", "degree", "components", "_images", "_words")
 
     def __init__(self, components: Sequence[LieSeries], strict: bool = False):
         components = tuple(components)
@@ -51,7 +54,7 @@ class TDer:
         self.degree = first.degree
         self.components = tuple(normalized)
         self._images = None
-        self._scaled_images = None
+        self._words = None
 
     @classmethod
     def zero(cls, alphabet: Alphabet, degree: int) -> "TDer":
@@ -101,37 +104,42 @@ class TDer:
 
     # -- action --------------------------------------------------------
 
+    def _word_view(self):
+        """(expansions, their length groups, image length groups, denominator):
+        A_k and x_k A_k - A_k x_k as integer numerators over one denominator."""
+        if self._words is None:
+            scaled, denom = _scaled(*(a.coeffs for a in self.components))
+            expansions = [{w: c for w, c in _expand(a).items() if c} for a in scaled]
+            groups = [_by_length(a) for a in expansions]
+            images = []
+            for k, a in enumerate(expansions):
+                x = {(k,): 1}
+                image = _times(x, groups[k], self.degree)
+                _times(a, _by_length(x), self.degree, image, -1)
+                images.append(_by_length({w: c for w, c in image.items() if c}))
+            self._words = expansions, groups, images, denom
+        return self._words
+
     def generator_images(self) -> Tuple[AssocSeries, ...]:
         """u(x_i) = [x_i, a_i] as word series."""
         if self._images is None:
+            *_, images, denom = self._word_view()
             self._images = tuple(
-                AssocSeries.generator(self.alphabet, self.degree, i)
-                .commutator(a.to_assoc())
-                for i, a in enumerate(self.components))
+                AssocSeries._from_scaled(self.alphabet, self.degree,
+                                         {w: c for _, group in image for w, c in group},
+                                         denom)
+                for image in images)
         return self._images
 
     def apply_assoc(self, target: AssocSeries) -> AssocSeries:
         """Leibniz extension to the word algebra."""
         if target.alphabet != self.alphabet or target.degree != self.degree:
             raise AmbientMismatch("derivation and target live over different ambients")
-        if self._scaled_images is None:
-            images, denom = _scaled(*(im.coeffs for im in self.generator_images()))
-            self._scaled_images = [_by_length(im) for im in images], denom
-        images, denom = self._scaled_images
+        *_, images, denom = self._word_view()
         (coeffs,), outer = _scaled(target.coeffs)
-        table: Dict[Word, int] = {}
-        get = table.get
-        for word, c in coeffs.items():
-            room = self.degree - (len(word) - 1)
-            for pos, letter in enumerate(word):
-                prefix, suffix = word[:pos], word[pos + 1:]
-                for length, group in images[letter]:
-                    if length > room:
-                        break
-                    for w, e in group:
-                        full = prefix + w + suffix
-                        table[full] = get(full, 0) + c * e
-        return AssocSeries._from_scaled(self.alphabet, self.degree, table, outer * denom)
+        return AssocSeries._from_scaled(self.alphabet, self.degree,
+                                        _act(images, coeffs, self.degree),
+                                        outer * denom)
 
     def apply(self, target: Union[LieSeries, AssocSeries, CycSeries]):
         """Act on a Lie, word, or cyclic series; the result has the same kind."""
@@ -149,13 +157,46 @@ class TDer:
         """[u, v] with components u(b_k) - v(a_k) + [a_k, b_k].
 
         The contract is that the action of the result is the commutator of
-        the actions.
+        the actions.  With A_k, u's images over d_a and B_k, v's images
+        over d_b, all four terms sit over d_a d_b: each component is summed
+        in integers and solved back to the Lyndon basis once.
         """
         self._check_same(other)
+        degree = self.degree
+        a_words, a_groups, u_images, da = self._word_view()
+        b_words, b_groups, v_images, db = other._word_view()
         comps = []
-        for a, b in zip(self.components, other.components):
-            comps.append(self.apply(b) - other.apply(a) + a.bracket(b))
+        for a, a_group, b, b_group in zip(a_words, a_groups, b_words, b_groups):
+            table = _act(u_images, b, degree)
+            _act(v_images, a, degree, table, -1)
+            _times(a, b_group, degree, table)
+            _times(b, a_group, degree, table, -1)
+            comps.append(LieSeries._from_scaled(self.alphabet, degree, _solve(table),
+                                                da * db))
         return TDer(comps)
+
+
+def _act(images: List[List[Tuple[int, list]]], coeffs: Dict[Word, int], degree: int,
+         table: Optional[Dict[Word, int]] = None, sign: int = 1) -> Dict[Word, int]:
+    """Leibniz action of integer generator images (``_by_length`` groups, one
+    per letter) on an integer word table, dropping words longer than
+    ``degree``.  With ``table`` given, ``sign`` times the action is added
+    into it, and it is returned."""
+    if table is None:
+        table = {}
+    get = table.get
+    for word, c in coeffs.items():
+        c *= sign
+        room = degree - (len(word) - 1)
+        for pos, letter in enumerate(word):
+            prefix, suffix = word[:pos], word[pos + 1:]
+            for length, group in images[letter]:
+                if length > room:
+                    break
+                for w, e in group:
+                    full = prefix + w + suffix
+                    table[full] = get(full, 0) + c * e
+    return table
 
 
 def divergence(u: TDer) -> CycSeries:

@@ -4,16 +4,64 @@ A LieSeries is a finitely supported table from Lyndon words (with their
 standard bracketing understood) to exact rationals.  The bracket and the
 substitution homomorphism are computed through the word algebra and
 converted back; the conversion verifies primitivity instead of trusting
-the caller.
+the caller.  The bracket stays in integers throughout: both operands are
+expanded to word numerators over one denominator, AB - BA is formed, and
+one triangular solve returns it to the Lyndon basis.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
-from .lyndon import bracket_expansion, bracket_structure, is_lyndon, lyndon_basis
-from .words import Alphabet, AssocSeries, NotPrimitiveError, Series, Word, _scaled
+from .lyndon import bracket_expansion, is_lyndon
+from .words import (Alphabet, AssocSeries, NotPrimitiveError, Series, Word, _by_length,
+                    _scaled, _times)
+
+
+def _expand(coeffs: Mapping[Word, int]) -> Dict[Word, int]:
+    """Word numerators of a table of Lyndon numerators: each Lyndon word is
+    replaced by the integer expansion of its standard bracketing."""
+    table: Dict[Word, int] = {}
+    get = table.get
+    for word, c in coeffs.items():
+        for w, e in bracket_expansion(word).items():
+            table[w] = get(w, 0) + c * e
+    return table
+
+
+def _solve(coeffs: Mapping[Word, int]) -> Dict[Word, int]:
+    """Lyndon numerators of a table of word numerators, by triangular solve
+    against the Lyndon expansions; zero entries are ignored.
+
+    The expansion of a Lyndon word is integral with 1 on the word itself,
+    so the solve stays in integers.  Raises ``NotPrimitiveError`` at the
+    lowest degree where the table is not a Lie element.
+    """
+    if coeffs.get(()):
+        raise NotPrimitiveError(0, "series has a constant term")
+    by_len: Dict[int, Dict[Word, int]] = {}
+    for w, c in coeffs.items():
+        if c:
+            by_len.setdefault(len(w), {})[w] = c
+    table: Dict[Word, int] = {}
+    for d in sorted(by_len):
+        remaining = by_len[d]
+        while remaining:
+            word = min(remaining)
+            if not is_lyndon(word):
+                raise NotPrimitiveError(d)
+            c = remaining.pop(word)
+            table[word] = c
+            for w, e in bracket_expansion(word).items():
+                if w == word:
+                    continue
+                v = remaining.get(w, 0) - c * e
+                if v:
+                    remaining[w] = v
+                else:
+                    remaining.pop(w, None)
+    return table
 
 
 class LieSeries(Series):
@@ -45,48 +93,23 @@ class LieSeries(Series):
 
     def to_assoc(self) -> AssocSeries:
         (coeffs,), denom = _scaled(self.coeffs)
-        table: Dict[Word, int] = {}
-        get = table.get
-        for word, c in coeffs.items():
-            for w, e in bracket_expansion(word).items():
-                table[w] = get(w, 0) + c * e
-        return AssocSeries._from_scaled(self.alphabet, self.degree, table, denom)
+        return AssocSeries._from_scaled(self.alphabet, self.degree, _expand(coeffs), denom)
 
     @classmethod
     def from_assoc(cls, series: AssocSeries) -> "LieSeries":
-        """Triangular solve against the Lyndon expansion; checks primitivity.
-
-        The expansion of a Lyndon word is integral with 1 on the word
-        itself, so the solve stays in the integer numerators of ``series``.
-        """
-        if series.constant_term:
-            raise NotPrimitiveError(0, "series has a constant term")
+        """Triangular solve against the Lyndon expansion; checks primitivity."""
         (coeffs,), denom = _scaled(series.coeffs)
-        by_len: Dict[int, Dict[Word, int]] = {}
-        for w, c in coeffs.items():
-            by_len.setdefault(len(w), {})[w] = c
-        table: Dict[Word, int] = {}
-        for d in sorted(by_len):
-            remaining = by_len[d]
-            while remaining:
-                word = min(remaining)
-                if not is_lyndon(word):
-                    raise NotPrimitiveError(d)
-                c = remaining.pop(word)
-                table[word] = c
-                for w, e in bracket_expansion(word).items():
-                    if w == word:
-                        continue
-                    v = remaining.get(w, 0) - c * e
-                    if v:
-                        remaining[w] = v
-                    else:
-                        remaining.pop(w, None)
-        return cls._from_scaled(series.alphabet, series.degree, table, denom)
+        return cls._from_scaled(series.alphabet, series.degree, _solve(coeffs), denom)
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
+        """AB - BA on the word expansions, solved back to the Lyndon basis."""
         self._check_same(other)
-        return LieSeries.from_assoc(self.to_assoc().commutator(other.to_assoc()))
+        (a, b), denom = _scaled(self.coeffs, other.coeffs)
+        a, b = _expand(a), _expand(b)
+        table = _times(a, _by_length(b), self.degree)
+        _times(b, _by_length(a), self.degree, table, -1)
+        return LieSeries._from_scaled(self.alphabet, self.degree, _solve(table),
+                                      denom * denom)
 
     def substitute(self, images: Sequence["LieSeries"]) -> "LieSeries":
         """Lie-algebra-map extension of x_i -> images[i]."""

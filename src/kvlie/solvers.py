@@ -103,6 +103,7 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
         LieSeries.generator(alphabet, degree, 1)
     u = TDer.zero(alphabet, degree)
     h_coeffs: Dict[int, Fraction] = {}
+    steps = []
     report = DegreeReport()
     from .automorphisms import j_group_cocycle
 
@@ -117,12 +118,8 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
         lie_basis_next = lyndon_basis(2, d + 1) if d < degree else []
         cyc_basis_here = _necklace_basis(2, d)
         ch_residual = (current.apply(ch) - target).homogeneous(d + 1)
-        j_now = j_group_cocycle(current)
-        j_fixed = CycSeries.zero(alphabet, degree)
-        for k, c in h_coeffs.items():
-            if c:
-                j_fixed = j_fixed + h_subspace_vector(k, degree).scale(c)
-        j_residual = (j_now - j_fixed).homogeneous(d)
+        j_residual = (j_group_cocycle(current)
+                      - _h_span_element(h_coeffs, degree)).homogeneous(d)
         with_c = d >= 2
         v_new = h_subspace_vector(d, degree).homogeneous(d) if with_c else None
 
@@ -154,19 +151,22 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
         u = u + step
         if with_c:
             h_coeffs[d] = solution[-1]
-        report.records.append(DegreeRecord(
-            degree=d,
-            dimension=len(eq_cols),
-            rank=len(eq_cols) - len(null),
-            residual_zero=True,
-            gauge=solution))
+        steps.append((d, len(eq_cols), len(eq_cols) - len(null), solution))
 
+    # each degree-d record is measured on F: the ch residual one degree up
+    # and the J residual at degree d
     f = taut_exp(u)
     final_residual = f.apply(ch) - target
-    for rec in report.records:
-        rec.residual_zero = rec.residual_zero and not final_residual.homogeneous(
-            rec.degree + 1)
     j_f = j_group_cocycle(f)
+    j_residual = j_f - _h_span_element(h_coeffs, degree)
+    for d, dimension, rank, solution in steps:
+        report.records.append(DegreeRecord(
+            degree=d,
+            dimension=dimension,
+            rank=rank,
+            residual_zero=not (final_residual.homogeneous(d + 1)
+                               or j_residual.homogeneous(d)),
+            gauge=solution))
     duf = duflo_series(degree)
     report.notes["h_coefficients"] = dict(h_coeffs)
     report.notes["defining_residual_zero"] = not final_residual
@@ -174,6 +174,15 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
     report.notes["j_plus_duf_zero"] = not (j_f + duf)
     report.notes["j_in_h_subspace"] = _j_subspace_rank_test(j_f, degree)
     return f, report
+
+
+def _h_span_element(h_coeffs: Dict[int, Fraction], degree: int) -> CycSeries:
+    """sum_k h_k (tr x^k + tr y^k - tr ch^k) for the tr-power coefficients h_k."""
+    out = CycSeries.zero(Alphabet(2), degree)
+    for k, c in h_coeffs.items():
+        if c:
+            out = out + h_subspace_vector(k, degree).scale(c)
+    return out
 
 
 def _j_subspace_rank_test(j: CycSeries, degree: int) -> bool:

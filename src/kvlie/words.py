@@ -13,12 +13,16 @@ which only drops zeros.
 
 Coefficients are stored as reduced ``Fraction``s, and every public method
 takes and returns them.  The exact kernels (word products, substitution,
-and in ``lie`` and ``derivations`` the Lyndon conversions and the Leibniz
-action) do not compute with Fractions, though: ``_scaled`` turns their
-operands into integer numerators over one common denominator, the inner
-loops multiply and add plain ints, and ``Series._from_scaled`` reduces
-each output term to a Fraction once.  Those two helpers are the only code
-that knows the scaled format.
+and in ``lie`` and ``derivations`` the Lyndon conversions, the Leibniz
+action and both brackets) do not compute with Fractions, though:
+``_scaled`` turns their operands into integer numerators over one common
+denominator, the inner loops multiply and add plain ints, and
+``Series._from_scaled`` reduces each output term to a Fraction once.
+Besides those two and the integer product ``_times``, the helpers that
+work in the scaled format are ``lie._expand`` (Lyndon to word numerators)
+and ``lie._solve`` (word to Lyndon numerators), and in ``derivations``
+the integer word view of a ``TDer`` (``TDer._word_view``) and its
+Leibniz action ``_act``.
 """
 from __future__ import annotations
 
@@ -117,13 +121,16 @@ def _by_length(table: Mapping[Word, int]) -> List[Tuple[int, list]]:
     return sorted(groups.items())
 
 
-def _times(left: Mapping[Word, int], right: List[Tuple[int, list]],
-           degree: int) -> Dict[Word, int]:
+def _times(left: Mapping[Word, int], right: List[Tuple[int, list]], degree: int,
+           table: Dict[Word, int] | None = None, sign: int = 1) -> Dict[Word, int]:
     """Product of an integer table and the ``_by_length`` groups of another,
-    dropping words longer than ``degree``."""
-    table: Dict[Word, int] = {}
+    dropping words longer than ``degree``.  With ``table`` given, ``sign``
+    times the product is added into it, and it is returned."""
+    if table is None:
+        table = {}
     get = table.get
     for w1, c1 in left.items():
+        c1 *= sign
         room = degree - len(w1)
         for length, group in right:
             if length > room:

@@ -272,6 +272,17 @@ def test_angle_verb():
     assert bad.returncode == 2
 
 
+def test_angle_takes_a_negative_real_part_in_both_forms():
+    from kvlie.weights import angle
+    spaced = run("angle", "--p", "-1+0.5j", "--q", "-.5+2j")
+    joined = run("angle", "--p=-1+0.5j", "--q=-.5+2j")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    assert json.loads(spaced.stdout)["angle"] == angle(-1 + 0.5j, -0.5 + 2j, "hyperbolic")
+    missing = run("angle", "--p", "1j", "--q")
+    assert missing.returncode == 2 and "expected one argument" in missing.stderr
+
+
 def test_byte_determinism():
     g = json.dumps({"n": 1, "m": 2, "edges": [[1, "g1"], [1, "g2"]]})
     cases = [

@@ -46,13 +46,14 @@ def test_action_is_derivation():
 
 def test_bracket_matches_action_commutator():
     rng = random.Random(52)
-    for _ in range(6):
-        u = rand_tder(rng, A2, 5)
-        v = rand_tder(rng, A2, 5)
-        w = u.bracket(v)
-        for i in range(2):
-            xi = LieSeries.generator(A2, 5, i)
-            assert w.apply(xi) == u.apply(v.apply(xi)) - v.apply(u.apply(xi))
+    for alphabet, degree, trials in ((A2, 5, 6), (Alphabet(3), 4, 3)):
+        for _ in range(trials):
+            u = rand_tder(rng, alphabet, degree)
+            v = rand_tder(rng, alphabet, degree)
+            w = u.bracket(v)
+            for i in range(alphabet.n):
+                xi = LieSeries.generator(alphabet, degree, i)
+                assert w.apply(xi) == u.apply(v.apply(xi)) - v.apply(u.apply(xi))
 
 
 def test_divergence_cocycle():

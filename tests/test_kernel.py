@@ -175,9 +175,10 @@ def test_generator_images_are_an_immutable_tuple():
 
 # -- integer kernels against plain-Fraction references ------------------
 #
-# The word product, substitution, Leibniz action and Lyndon conversions run
-# on integer numerators over a common denominator.  Each reference below
-# computes the same table term by term in Fraction arithmetic.
+# The word product, substitution, Leibniz action, Lyndon conversions and
+# both brackets run on integer numerators over a common denominator.  Each
+# reference below computes the same table term by term in Fraction
+# arithmetic.
 
 
 def ref_add(a, b, c=Fraction(1)):
@@ -351,6 +352,53 @@ def test_from_assoc_inverts_to_assoc(data, n, degree):
     with pytest.raises(NotPrimitiveError) as err:
         LieSeries.from_assoc(words + AssocSeries.one(Alphabet(n), degree).scale(c))
     assert err.value.degree == 0
+
+
+def ref_from_assoc(table, degree):
+    """Lyndon coefficients of a word table by Fraction triangular solve:
+    peel off the least remaining word, which must be Lyndon, times its
+    standard bracketing."""
+    remaining = nonzero(table)
+    out = {}
+    while remaining:
+        word = min(remaining, key=lambda w: (len(w), w))
+        assert is_lyndon(word)
+        c = out[word] = remaining[word]
+        remaining = nonzero(ref_add(remaining, ref_expand(bracket_structure(word), degree),
+                                    -c))
+    return out
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, st.integers(1, 5))
+def test_lie_bracket_matches_fraction_reference(data, n, degree):
+    pool = data.draw(coefficient_pools())
+    a = data.draw(pooled_lie(n, degree, pool))
+    b = data.draw(pooled_lie(n, degree, pool))
+    for left, right in ((a, b), (b, a), (a, a)):
+        got = left.bracket(right)
+        assert_clean(got, degree, LieSeries)
+        assert_stored(got, ref_from_assoc(
+            ref_commutator(ref_to_assoc(left), ref_to_assoc(right), degree), degree))
+
+
+@KERNEL_SETTINGS
+@given(st.data(), letters, st.integers(1, 4))
+def test_tder_bracket_matches_fraction_reference(data, n, degree):
+    """Component k of [u, v] is u(b_k) - v(a_k) + [a_k, b_k]."""
+    pool = data.draw(coefficient_pools())
+    u = TDer([data.draw(pooled_lie(n, degree, pool)) for _ in range(n)])
+    v = TDer([data.draw(pooled_lie(n, degree, pool)) for _ in range(n)])
+    got = u.bracket(v)
+    for a, b, c in zip(u.components, v.components, got.components):
+        big_a, big_b = ref_to_assoc(a), ref_to_assoc(b)
+        words = ref_add(ref_apply_assoc(u, big_b), ref_apply_assoc(v, big_a), Fraction(-1))
+        words = ref_add(words, ref_commutator(big_a, big_b, degree))
+        assert_clean(c, degree, LieSeries)
+        assert_stored(c, ref_from_assoc(words, degree))
+    for i, (a, image) in enumerate(zip(u.components, u.generator_images())):
+        assert_clean(image, degree, AssocSeries)
+        assert_stored(image, ref_commutator({(i,): Fraction(1)}, ref_to_assoc(a), degree))
 
 
 # -- independent_subset -------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kvlie import linalg
 from kvlie.automorphisms import TAutElem, taut_exp, taut_log
 from kvlie.derivations import TDer, braid_bracket_basis, tder_coords, tder_extend
 from kvlie.lie import LieSeries
@@ -40,6 +41,28 @@ def test_kv_minimal_gauge_also_solves():
     assert report.all_zero()
     assert report.notes["defining_residual_zero"]
     assert report.notes["j_in_h_subspace"]
+
+
+@pytest.mark.parametrize("degree, part", [(2, "h"), (3, "h"), (3, "step")])
+def test_kv_records_flag_a_perturbed_step_at_its_degree(monkeypatch, degree, part):
+    """A wrong tr-power coefficient h_d leaves the ch equation alone and
+    shows only in the J residual at degree d; a wrong derivation
+    coefficient at degree d shows in the ch residual at degree d + 1.
+    Either way the record of degree d is flagged, and no other."""
+    pick = linalg.min_norm_pick
+    calls = []
+
+    def perturbed(particular, null):
+        solution = list(pick(particular, null))
+        calls.append(None)
+        if len(calls) == degree:
+            solution[-1 if part == "h" else 0] += Fraction(1, 7)
+        return solution
+
+    monkeypatch.setattr(linalg, "min_norm_pick", perturbed)
+    f, report = solve_kv(4, gauge="symmetric")
+    assert [r.degree for r in report.records if not r.residual_zero] == [degree]
+    assert report.notes["defining_residual_zero"] is (part == "h")
 
 
 def test_kv_rejects_unknown_gauge():
