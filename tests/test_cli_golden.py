@@ -21,6 +21,8 @@ CASES = {
     "kv_solve_d3_symmetric": ["kv-solve", "--degree", "3", "--gauge", "symmetric"],
     "kv_solve_d3_minimal_norm": ["kv-solve", "--degree", "3", "--gauge", "minimal-norm"],
     "assoc_solve_d4_even": ["assoc-solve", "--degree", "4", "--parity", "even"],
+    "assoc_solve_d5_unconstrained_minus": ["assoc-solve", "--degree", "5", "--parity",
+                                           "unconstrained", "--hexagon-sign", "-1"],
     "graphs_wheel_5": ["graphs", "--type", "wheel", "--count", "5"],
     "braid_12_of_3": ["braid", "--i", "1", "--j", "2", "--strands", "3"],
     "membership_d3": ["membership", "--input", str(GOLDEN / "membership_input.json")],
