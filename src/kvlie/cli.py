@@ -21,8 +21,8 @@ from .derivations import (BraidGenerator, braid_embed, classify, divergence,
                           tder_extend, tn_membership)
 from .graphs import enumerate_lie_graphs, enumerate_wheel_graphs
 from .lie import bch_xy
-from .solvers import (check_associator_axioms, check_f_symmetries,
-                      solve_associator, solve_kv)
+from .solvers import (_AXIOM_SELECTORS, check_associator_axioms,
+                      check_f_symmetries, solve_associator, solve_kv)
 from .weights import angle, angle_gradient, example_weight_quadrature, \
     weight_montecarlo
 from .words import Alphabet
@@ -162,6 +162,8 @@ def _cmd_assoc_solve(args):
 
 
 def _cmd_check(args):
+    if args.input and args.phi:
+        raise InputError("check takes --input or --phi, not both")
     if args.what == "symmetries":
         if not args.input:
             raise InputError("check symmetries needs --input F")
@@ -302,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="+1")
 
     p = add("check", _cmd_check, help="verify axioms or symmetry identities")
-    p.add_argument("what", choices=["duality", "pentagon", "hexagon",
-                                    "hexagon+", "hexagon-", "all", "symmetries"])
+    p.add_argument("what", choices=[*_AXIOM_SELECTORS, "symmetries"])
     p.add_argument("--input", default=None)
     p.add_argument("--phi", choices=["trivial"], default=None)
     p.add_argument("--degree", type=int, default=None)

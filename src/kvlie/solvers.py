@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache, lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cyclic import CycSeries, duflo_series, h_subspace_vector
-from .derivations import TDer, braid_bracket_basis, divergence, tder_coords, tder_extend
+from .derivations import (BraidGenerator, TDer, braid_bracket_basis, braid_embed,
+                          divergence, tder_coords, tder_extend)
 from .lie import LieSeries, bch_xy
-from .lyndon import lyndon_basis
+from .lyndon import bracket_structure, lyndon_basis
 from .automorphisms import (TAutElem, inner_automorphism, r_element,
                             symmetry_transform, tau_involution, taut_exp,
                             taut_extend, taut_log)
@@ -40,6 +41,17 @@ class DegreeReport:
 
     def all_zero(self) -> bool:
         return all(r.residual_zero for r in self.records)
+
+
+def _lincomb(terms: Iterable[Tuple[Fraction, object]], zero):
+    """The sum of c * u over the (c, u) terms, skipping those where c or u
+    is zero; ``zero`` when every term is skipped."""
+    out = None
+    for c, u in terms:
+        if c and u:
+            u = u if c == 1 else u.scale(c)
+            out = u if out is None else out + u
+    return zero if out is None else out
 
 
 def _necklace_basis(n: int, d: int):
@@ -70,15 +82,8 @@ def _tau_fixed_subspace(basis: Sequence[TDer], d: int) -> List[TDer]:
     k = len(basis)
     a = [[tau_vectors[j][r] - vectors[j][r] for j in range(k)]
          for r in range(len(vectors[0]))]
-    combos = linalg.nullspace(a)
-    fixed = []
-    for combo in combos:
-        acc = TDer.zero(basis[0].alphabet, basis[0].degree)
-        for c, u in zip(combo, basis):
-            if c:
-                acc = acc + u.scale(c)
-        fixed.append(acc)
-    return fixed
+    zero = TDer.zero(basis[0].alphabet, basis[0].degree)
+    return [_lincomb(zip(combo, basis), zero) for combo in linalg.nullspace(a)]
 
 
 def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeReport]:
@@ -144,11 +149,7 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
                 f"KV system inconsistent at degree {d} (implementation bug)")
         solution = linalg.min_norm_pick(particular, null)
         step_coeffs = solution[:-1] if with_c else solution
-        step = TDer.zero(alphabet, degree)
-        for c, e in zip(step_coeffs, basis):
-            if c:
-                step = step + e.scale(c)
-        u = u + step
+        u = u + _lincomb(zip(step_coeffs, basis), TDer.zero(alphabet, degree))
         if with_c:
             h_coeffs[d] = solution[-1]
         steps.append((d, len(eq_cols), len(eq_cols) - len(null), solution))
@@ -178,11 +179,8 @@ def solve_kv(degree: int, gauge: str = "symmetric") -> Tuple[TAutElem, DegreeRep
 
 def _h_span_element(h_coeffs: Dict[int, Fraction], degree: int) -> CycSeries:
     """sum_k h_k (tr x^k + tr y^k - tr ch^k) for the tr-power coefficients h_k."""
-    out = CycSeries.zero(Alphabet(2), degree)
-    for k, c in h_coeffs.items():
-        if c:
-            out = out + h_subspace_vector(k, degree).scale(c)
-    return out
+    return _lincomb(((c, h_subspace_vector(k, degree)) for k, c in h_coeffs.items() if c),
+                    CycSeries.zero(Alphabet(2), degree))
 
 
 def _j_subspace_rank_test(j: CycSeries, degree: int) -> bool:
@@ -222,25 +220,15 @@ def tder_bch(u: TDer, v: TDer, order: int) -> TDer:
     when the inputs have derivation degree >= 1.
     """
     ch = bch_xy(order)
-    cache: dict = {}
 
-    from .lyndon import bracket_structure
-
+    @cache
     def realize(struct):
-        if struct in cache:
-            return cache[struct]
         if isinstance(struct, int):
-            r = (u, v)[struct]
-        else:
-            r = realize(struct[0]).bracket(realize(struct[1]))
-        cache[struct] = r
-        return r
+            return (u, v)[struct]
+        return realize(struct[0]).bracket(realize(struct[1]))
 
-    total = TDer.zero(u.alphabet, u.degree)
-    for w, c in ch.coeffs.items():
-        term = realize(bracket_structure(w))
-        if term:
-            total = total + term.scale(c)
+    total = _lincomb(((c, realize(bracket_structure(w))) for w, c in ch.coeffs.items()),
+                     TDer.zero(u.alphabet, u.degree))
     return _tder_cap(total, order)
 
 
@@ -252,13 +240,44 @@ def _bch_chain(factors: Sequence[TDer], order: int) -> TDer:
     return out
 
 
+# The associator axioms, each stated once as (lhs factors, rhs factors);
+# the residual is log(rhs^-1 lhs).  A factor is a simplicial extension
+# (pattern, arity) of Phi or, written as a string, exp(s t / 2) for the
+# named sum t of braid generators, s the hexagon sign.
+_AXIOMS = {
+    "duality": ((("3,2,1", 3), ("1,2,3", 3)), ()),
+    "pentagon": ((("1,2,34", 4), ("12,3,4", 4)),
+                 (("2,3,4", 4), ("1,23,4", 4), ("1,2,3", 4))),
+    "hexagon": (("t12", ("3,1,2", 3), "t13", ("2,3,1", 3), "t23", ("1,2,3", 3)),
+                ("t12+t13+t23",)),
+}
+
+
+def _signs(name: str) -> Dict[str, int]:
+    """Report-key suffix -> hexagon sign: an axiom with braid factors is
+    checked once for each sign."""
+    lhs, rhs = _AXIOMS[name]
+    return {"+": 1, "-": -1} if any(isinstance(f, str) for f in lhs + rhs) else {"": 1}
+
+
+# the checker's report keys, each -> (axiom, hexagon sign)
+_AXIOM_KEYS = {name + tag: (name, sign)
+               for name in _AXIOMS for tag, sign in _signs(name).items()}
+# selector -> report keys; a bare signed axiom name selects its + sign
+_AXIOM_SELECTORS = {sel: (key,) for key, (name, sign) in _AXIOM_KEYS.items()
+                    for sel in ((name, key) if sign > 0 else (key,))}
+_AXIOM_SELECTORS["all"] = tuple(_AXIOM_KEYS)
+
+
 def _braid_tders(degree: int) -> Dict[str, TDer]:
-    from .derivations import BraidGenerator, braid_embed
-    return {
-        "t12": braid_embed(BraidGenerator(1, 2, 3), degree),
-        "t13": braid_embed(BraidGenerator(1, 3, 3), degree),
-        "t23": braid_embed(BraidGenerator(2, 3, 3), degree),
-    }
+    return {f"t{i}{j}": braid_embed(BraidGenerator(i, j, 3), degree)
+            for i, j in ((1, 2), (1, 3), (2, 3))}
+
+
+def _braid_log(t: Dict[str, TDer], f: str, sign: int) -> TDer:
+    """sign / 2 times the named sum f of braid generators, as "t12+t13+t23"."""
+    names = f.split("+")
+    return sum((t[n] for n in names[1:]), t[names[0]]).scale(Fraction(sign, 2))
 
 
 def _compose_all(elems: Sequence[TAutElem]) -> TAutElem:
@@ -279,86 +298,68 @@ def _axiom_residuals(phi: TDer, degree: int, wanted: Sequence[str]) -> Dict[str,
     # the log terms up to degree, moved to ambient degree + 1
     phi = phi.truncated(degree).truncated(degree + 1)
     big = taut_exp(phi)
+    t = _braid_tders(degree + 1)
+    ext = cache(lambda f: taut_extend(big, *f))
 
-    def ext(pattern, arity=3):
-        return taut_extend(big, pattern, arity)
+    def product(side, sign):
+        return _compose_all([taut_exp(_braid_log(t, f, sign)) if isinstance(f, str)
+                             else ext(f) for f in side])
 
     out: Dict[str, TDer] = {}
-    hexagons = [key for key in ("hexagon+", "hexagon-") if key in wanted]
-    if "duality" in wanted or hexagons:
-        phi123 = ext("1,2,3")
-    if "duality" in wanted:
-        out["duality"] = taut_log(ext("3,2,1").compose(phi123))
-    if "pentagon" in wanted:
-        lhs = ext("1,2,34", 4).compose(ext("12,3,4", 4))
-        rhs = _compose_all([ext("2,3,4", 4), ext("1,23,4", 4), ext("1,2,3", 4)])
-        out["pentagon"] = taut_log(rhs.invert().compose(lhs))
-    t = _braid_tders(degree + 1) if hexagons else {}
-    for key in hexagons:
-        half = Fraction(1 if key == "hexagon+" else -1, 2)
-        lhs = _compose_all([
-            taut_exp(t["t12"].scale(half)), ext("3,1,2"),
-            taut_exp(t["t13"].scale(half)), ext("2,3,1"),
-            taut_exp(t["t23"].scale(half)), phi123])
-        central = (t["t12"] + t["t13"] + t["t23"]).scale(half)
-        out[key] = taut_log(taut_exp(-central).compose(lhs))
+    for key in wanted:
+        name, sign = _AXIOM_KEYS[key]
+        lhs, rhs = _AXIOMS[name]
+        g = product(lhs, sign)
+        if len(rhs) == 1 and isinstance(rhs[0], str):
+            # an exponential is inverted by negating its log
+            g = taut_exp(-_braid_log(t, rhs[0], sign)).compose(g)
+        elif rhs:
+            g = product(rhs, sign).invert().compose(g)
+        out[key] = taut_log(g)
     return out
 
 
 def _log_residuals(phi: TDer, degree: int, hexagon_sign: int) -> Dict[str, TDer]:
     """Axiom residual logs computed wholly at the derivation level.
 
-    Independent of the automorphism path in _axiom_residuals: nothing here
-    is ever exponentiated, products are folded through tder_bch.  Only the
+    Independent of the automorphism path in _axiom_residuals, with which it
+    shares only the statement in _AXIOMS: nothing here is ever
+    exponentiated, products are folded through tder_bch.  Only the
     degree-``degree`` coordinates are read, and the algebra is graded, so
     everything runs at ambient ``degree``.
     """
     phi = phi.truncated(degree)
-
-    def ext(pattern, arity):
-        return tder_extend(phi, pattern, arity)
-
     t = _braid_tders(phi.degree)
-    half = Fraction(hexagon_sign, 2)
-    order = degree
+    ext = cache(lambda f: tder_extend(phi, *f))
 
-    duality = _bch_chain([ext("3,2,1", 3), ext("1,2,3", 3)], order)
+    def chain(side):
+        return _bch_chain([_braid_log(t, f, hexagon_sign) if isinstance(f, str)
+                           else ext(f) for f in side], degree)
 
-    lhs = _bch_chain([ext("1,2,34", 4), ext("12,3,4", 4)], order)
-    rhs = _bch_chain([ext("2,3,4", 4), ext("1,23,4", 4), ext("1,2,3", 4)], order)
-    pentagon = tder_bch(-rhs, lhs, order)
-
-    lhs = _bch_chain([
-        t["t12"].scale(half), ext("3,1,2", 3),
-        t["t13"].scale(half), ext("2,3,1", 3),
-        t["t23"].scale(half), ext("1,2,3", 3)], order)
-    central = (t["t12"] + t["t13"] + t["t23"]).scale(half)
-    hexagon = tder_bch(-central, lhs, order)
-
-    return {"duality": duality, "pentagon": pentagon, "hexagon": hexagon}
+    return {name: tder_bch(-chain(rhs), chain(lhs), degree) if rhs else chain(lhs)
+            for name, (lhs, rhs) in _AXIOMS.items()}
 
 
 def _linear_residuals(e: TDer) -> Dict[str, TDer]:
     """Linear part of the axiom residuals for a homogeneous step e.
 
     Every bracket with e raises the degree, so at the degree of e the
-    residuals of phi + e are those of phi plus these signed sums of
-    simplicial extensions; the hexagon part is the same for both signs.
+    residuals of phi + e are those of phi plus the extensions of e, signed
+    + on the lhs and - on the rhs; the braid factors drop out, so the
+    hexagon part is the same for both signs.
     """
-    def ext(pattern, arity):
-        return tder_extend(e, pattern, arity)
-
-    return {
-        "duality": ext("3,2,1", 3) + ext("1,2,3", 3),
-        "pentagon": ext("1,2,34", 4) + ext("12,3,4", 4) - ext("2,3,4", 4)
-        - ext("1,23,4", 4) - ext("1,2,3", 4),
-        "hexagon": ext("3,1,2", 3) + ext("2,3,1", 3) + ext("1,2,3", 3),
-    }
+    ext = cache(lambda f: tder_extend(e, *f))
+    out = {}
+    for name, (lhs, rhs) in _AXIOMS.items():
+        terms = [(sign, ext(f)) for sign, side in ((1, lhs), (-1, rhs))
+                 for f in side if not isinstance(f, str)]
+        out[name] = _lincomb(terms, TDer.zero(terms[0][1].alphabet, e.degree))
+    return out
 
 
 def _residual_vector(res: Dict[str, TDer], d: int) -> List[Fraction]:
     out: List[Fraction] = []
-    for name in ("duality", "pentagon", "hexagon"):
+    for name in _AXIOMS:
         out.extend(tder_coords(res[name], d))
     return out
 
@@ -409,11 +410,8 @@ def solve_associator(degree: int, parity: str = "even",
         if particular is None:
             raise RuntimeError(f"associator system infeasible at degree {d}")
         solution = linalg.min_norm_pick(particular, null)
-        step = TDer.zero(alphabet, degree + 1)
-        for c, (_lbl, e) in zip(solution, basis):
-            if c:
-                step = step + e.scale(c)
-        phi = phi + step
+        phi = phi + _lincomb(zip(solution, (e for _lbl, e in basis)),
+                             TDer.zero(alphabet, degree + 1))
         coords[d] = [(lbl, c) for c, (lbl, _e) in zip(solution, basis)]
         check = _residual_vector(_log_residuals(phi, d, hexagon_sign), d)
         report.records.append(DegreeRecord(
@@ -425,12 +423,6 @@ def solve_associator(degree: int, parity: str = "even",
         group_like_verified=(taut_log(element) == phi),
         tn_coordinates=coords)
     return candidate, report
-
-
-_AXIOM_SELECTORS = {"duality": ("duality",), "pentagon": ("pentagon",),
-                    "hexagon": ("hexagon+",), "hexagon+": ("hexagon+",),
-                    "hexagon-": ("hexagon-",),
-                    "all": ("duality", "pentagon", "hexagon+", "hexagon-")}
 
 
 def check_associator_axioms(candidate, which: str = "all",

@@ -100,6 +100,20 @@ def test_check_duality_trivial_phi_passes():
 ELEMENT_D3 = Path(__file__).parent / "golden" / "assoc_element_d3.json"
 
 
+@pytest.mark.parametrize("what", ["all", "symmetries"])
+def test_check_input_and_trivial_phi_exclude_each_other(what):
+    # the missing file must be refused, not silently replaced by --phi
+    res = run("check", what, "--phi", "trivial", "--input", "missing.json")
+    assert res.returncode == 2
+    assert "not both" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_check_choices_are_the_selectors_and_symmetries():
+    res = run("check", "--help")
+    assert res.returncode == 0
+    assert "{duality,pentagon,hexagon,hexagon+,hexagon-,all,symmetries}" in res.stdout
+
+
 def test_assoc_solve_pipes_into_check():
     solved = run("assoc-solve", "--degree", "3")
     assert solved.returncode == 0
