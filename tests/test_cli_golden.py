@@ -5,7 +5,10 @@ refactors: a change that keeps the algebra intact leaves every byte alone.
 kv-solve is pinned only below degree 4; its output from degree 4 on is
 known to be wrong and will change when the KV solver is fixed.
 ``assoc_element_d3.json`` is the ``element`` of ``assoc-solve --degree 3``,
-the input of the two ``check`` cases.
+the input of the two ``check`` cases.  ``taut_input_d6.json`` is a
+two-generator derivation at truncation 6, the input of the transport
+cases ``exp`` and ``jcocycle``; ``compose`` composes the ``exp`` output
+with itself.
 """
 import subprocess
 import sys
@@ -29,6 +32,10 @@ CASES = {
     "check_all_d3": ["check", "all", "--input", str(GOLDEN / "assoc_element_d3.json")],
     "check_pentagon_d3": ["check", "pentagon", "--input",
                           str(GOLDEN / "assoc_element_d3.json")],
+    "exp_taut_d6": ["exp", "--input", str(GOLDEN / "taut_input_d6.json")],
+    "jcocycle_taut_d6": ["jcocycle", "--input", str(GOLDEN / "taut_input_d6.json")],
+    "compose_exp_taut_d6": ["compose", "--input", str(GOLDEN / "exp_taut_d6.json"),
+                            "--input", str(GOLDEN / "exp_taut_d6.json")],
 }
 
 
