@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .cyclic import CycSeries, tr_project
 from .derivations import TDer, divergence, parse_pattern, pattern_sums
 from .lie import LieSeries
-from .words import (_ZERO, Alphabet, AmbientMismatch, AssocSeries,
-                    NotPrimitiveError, Word)
+from .words import Alphabet, AmbientMismatch, AssocSeries, NotPrimitiveError, Word
 
 
 class NotTangentialImage(ValueError):
@@ -32,20 +31,22 @@ def _ad_inverse(i: int, r: LieSeries) -> Optional[LieSeries]:
     that moves a leading x_i to the end.  Powers of x_i are dropped: they
     are the kernel in degree one and never occur in a Lie element above.
     """
-    table: Dict[Word, Fraction] = {}
+    words = r.to_assoc()
+    table: Dict[Word, int] = {}
     get = table.get
-    for v, c in r.to_assoc().coeffs.items():
+    for v, c in words._num.items():
         if v[0] != i:
             continue
         w = v[1:]
         if all(letter == i for letter in w):
             continue
-        table[w] = get(w, _ZERO) + c
+        table[w] = get(w, 0) + c
         while w[0] == i:
             w = w[1:] + (i,)
-            table[w] = get(w, _ZERO) + c
+            table[w] = get(w, 0) + c
     try:
-        a = LieSeries.from_assoc(AssocSeries._trusted(r.alphabet, r.degree, table))
+        a = LieSeries.from_assoc(
+            AssocSeries._from_scaled(r.alphabet, r.degree, table, words._den))
     except NotPrimitiveError:
         return None
     if LieSeries.generator(r.alphabet, r.degree, i).bracket(a) != r:
@@ -317,8 +318,9 @@ def _permutation_substitution(alphabet: Alphabet, degree: int,
 
 
 def _negation(s: LieSeries) -> LieSeries:
-    return LieSeries(s.alphabet, s.degree,
-                     {w: ((-1) ** len(w)) * c for w, c in s.coeffs.items()})
+    return LieSeries._from_scaled(s.alphabet, s.degree,
+                                  {w: -n if len(w) % 2 else n for w, n in s._num.items()},
+                                  s._den)
 
 
 def symmetry_transform(which: str, target: Union[TDer, TAutElem]):

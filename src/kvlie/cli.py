@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Every verb prints exactly one JSON document on stdout.  Exit codes:
-0 success, 1 a residual check failed, 2 usage or input errors.
+0 success, 1 a residual check failed or stdout was closed early, 2 usage
+or input errors.
 Diagnostics go to stderr.  Output is deterministic for fixed flags and
 seed: keys are sorted and term lists have a canonical order.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import lru_cache
@@ -39,6 +41,7 @@ class InputError(Exception):
 def _emit(doc) -> None:
     json.dump(doc, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe fails here, inside main
 
 
 def _read_json(path: str) -> dict:
@@ -351,6 +354,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.handler(args)
+    except BrokenPipeError:
+        # stdout was closed: send what is buffered to devnull, not to a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

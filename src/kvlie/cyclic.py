@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .lie import LieSeries, bch_xy, j_coefficients
-from .words import _ZERO, Alphabet, AssocSeries, Series, Word
+from .words import Alphabet, AssocSeries, Series, Word
 
 
 def canonical_rotation(word: Word) -> Word:
@@ -38,19 +38,19 @@ class CycSeries(Series):
 
     def representative(self) -> AssocSeries:
         """One word per necklace; tr_project of it gives the series back."""
-        return AssocSeries._trusted(self.alphabet, self.degree, self.coeffs)
+        return AssocSeries._from_scaled(self.alphabet, self.degree, self._num, self._den)
 
 
 def tr_project(series: AssocSeries) -> CycSeries:
     """Natural projection Ass+ -> cy; kills the span of commutators."""
     if series.constant_term:
         raise ValueError("tr is only defined on series without degree-0 term")
-    table: Dict[Word, Fraction] = {}
+    table: Dict[Word, int] = {}
     get = table.get
-    for word, c in series.coeffs.items():
+    for word, n in series._num.items():
         key = canonical_rotation(word)
-        table[key] = get(key, _ZERO) + c
-    return CycSeries._trusted(series.alphabet, series.degree, table)
+        table[key] = get(key, 0) + n
+    return CycSeries._from_scaled(series.alphabet, series.degree, table, series._den)
 
 
 def partial_decompose(series: AssocSeries, i: int) -> AssocSeries:
@@ -63,11 +63,8 @@ def partial_decompose(series: AssocSeries, i: int) -> AssocSeries:
         raise ValueError("decomposition is only defined without degree-0 term")
     if not 0 <= i < series.alphabet.n:
         raise ValueError(f"generator index {i} out of range")
-    table: Dict[Word, Fraction] = {}
-    for word, c in series.coeffs.items():
-        if word[-1] == i:
-            table[word[:-1]] = c
-    return AssocSeries._trusted(series.alphabet, series.degree, table)
+    table = {word[:-1]: n for word, n in series._num.items() if word[-1] == i}
+    return AssocSeries._from_scaled(series.alphabet, series.degree, table, series._den)
 
 
 def tr_power(z: LieSeries, k: int) -> CycSeries:

@@ -50,16 +50,25 @@ class TDer:
                         f"component {k} has a linear x_{k + 1} term ({bad})")
                 a = a - LieSeries.generator(a.alphabet, a.degree, k).scale(bad)
             normalized.append(a)
-        self.alphabet = first.alphabet
-        self.degree = first.degree
-        self.components = tuple(normalized)
-        self._images = None
-        self._words = None
+        self._hold(normalized)
+
+    def _hold(self, components: Sequence[LieSeries]) -> None:
+        self.alphabet, self.degree = components[0].alphabet, components[0].degree
+        self.components = tuple(components)
+        self._images = self._words = None
+
+    @classmethod
+    def _trusted(cls, components: Sequence[LieSeries]) -> "TDer":
+        """Wrap normalized components over one ambient without re-checking
+        them: sums, scalings, degree cuts and brackets of normalized
+        derivations are normalized."""
+        self = object.__new__(cls)
+        self._hold(components)
+        return self
 
     @classmethod
     def zero(cls, alphabet: Alphabet, degree: int) -> "TDer":
-        z = LieSeries.zero(alphabet, degree)
-        return cls([z] * alphabet.n)
+        return cls._trusted([LieSeries.zero(alphabet, degree)] * alphabet.n)
 
     def _check_same(self, other: "TDer"):
         if self.alphabet != other.alphabet or self.degree != other.degree:
@@ -81,26 +90,26 @@ class TDer:
 
     def __add__(self, other: "TDer") -> "TDer":
         self._check_same(other)
-        return TDer([a + b for a, b in zip(self.components, other.components)])
+        return TDer._trusted([a + b for a, b in zip(self.components, other.components)])
 
     def __neg__(self) -> "TDer":
-        return TDer([-a for a in self.components])
+        return TDer._trusted([-a for a in self.components])
 
     def __sub__(self, other: "TDer") -> "TDer":
         return self + (-other)
 
     def scale(self, c) -> "TDer":
-        return TDer([a.scale(c) for a in self.components])
+        return TDer._trusted([a.scale(c) for a in self.components])
 
     def homogeneous(self, d: int) -> "TDer":
-        return TDer([a.homogeneous(d) for a in self.components])
+        return TDer._trusted([a.homogeneous(d) for a in self.components])
 
     def min_degree(self) -> Optional[int]:
         degs = [a.min_degree() for a in self.components if a]
         return min(degs) if degs else None
 
     def truncated(self, degree: int) -> "TDer":
-        return TDer([a.truncated(degree) for a in self.components])
+        return TDer._trusted([a.truncated(degree) for a in self.components])
 
     # -- action --------------------------------------------------------
 
@@ -108,7 +117,7 @@ class TDer:
         """(expansions, their length groups, image length groups, denominator):
         A_k and x_k A_k - A_k x_k as integer numerators over one denominator."""
         if self._words is None:
-            scaled, denom = _scaled(*(a.coeffs for a in self.components))
+            scaled, denom = _scaled(*self.components)
             expansions = [{w: c for w, c in _expand(a).items() if c} for a in scaled]
             groups = [_by_length(a) for a in expansions]
             images = []
@@ -136,10 +145,9 @@ class TDer:
         if target.alphabet != self.alphabet or target.degree != self.degree:
             raise AmbientMismatch("derivation and target live over different ambients")
         *_, images, denom = self._word_view()
-        (coeffs,), outer = _scaled(target.coeffs)
         return AssocSeries._from_scaled(self.alphabet, self.degree,
-                                        _act(images, coeffs, self.degree),
-                                        outer * denom)
+                                        _act(images, target._num, self.degree),
+                                        target._den * denom)
 
     def apply(self, target: Union[LieSeries, AssocSeries, CycSeries]):
         """Act on a Lie, word, or cyclic series; the result has the same kind."""
@@ -173,7 +181,8 @@ class TDer:
             _times(b, a_group, degree, table, -1)
             comps.append(LieSeries._from_scaled(self.alphabet, degree, _solve(table),
                                                 da * db))
-        return TDer(comps)
+        # every term has degree >= 2, so no component gains a linear term
+        return TDer._trusted(comps)
 
 
 def _act(images: List[List[Tuple[int, list]]], coeffs: Dict[Word, int], degree: int,
@@ -237,7 +246,7 @@ def classify(u: TDer) -> DerivationFlags:
         return DerivationFlags(True, False, False, witness)
     div = divergence(u)
     if div:
-        witness = min(len(w) for w in div.coeffs)
+        witness = div.min_degree()
         return DerivationFlags(True, True, False, witness)
     return DerivationFlags(True, True, True)
 
@@ -269,15 +278,12 @@ def parse_pattern(pattern: Union[str, Sequence[Sequence[int]]],
     return groups, m
 
 
+@lru_cache(maxsize=None)
 def pattern_sums(groups: Tuple[Tuple[int, ...], ...], alphabet: Alphabet,
-                 degree: int) -> List[LieSeries]:
-    sums = []
-    for group in groups:
-        s = LieSeries.zero(alphabet, degree)
-        for i in group:
-            s = s + LieSeries.generator(alphabet, degree, i - 1)
-        sums.append(s)
-    return sums
+                 degree: int) -> Tuple[LieSeries, ...]:
+    """The sum of the generators in each group, built once per arguments."""
+    return tuple(LieSeries._from_scaled(alphabet, degree, {(i - 1,): 1 for i in group}, 1)
+                 for group in groups)
 
 
 def tder_extend(u: TDer, pattern, arity: Optional[int] = None) -> TDer:
@@ -398,7 +404,7 @@ def tn_membership(u: TDer, d: Optional[int] = None):
     if d is not None and not 1 <= d <= u.degree:
         raise ValueError(f"membership degree {d} outside 1..{u.degree}, "
                          f"the derivation's truncation")
-    degs = {deg for a in u.components for deg in {len(w) for w in a.coeffs}}
+    degs = {len(w) for a in u.components for w in a._num}
     if d is None:
         if len(degs) != 1:
             raise ValueError("membership input must be homogeneous")

@@ -4,9 +4,10 @@ A LieSeries is a finitely supported table from Lyndon words (with their
 standard bracketing understood) to exact rationals.  The bracket and the
 substitution homomorphism are computed through the word algebra and
 converted back; the conversion verifies primitivity instead of trusting
-the caller.  The bracket stays in integers throughout: both operands are
-expanded to word numerators over one denominator, AB - BA is formed, and
-one triangular solve returns it to the Lyndon basis.
+the caller.  Every conversion and the bracket stay in integers: a Lie
+series' stored numerators are expanded to word numerators over the same
+denominator, AB - BA is formed over the product of the two denominators,
+and one triangular solve returns it to the Lyndon basis.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from .lyndon import bracket_expansion, is_lyndon
 from .words import (Alphabet, AssocSeries, NotPrimitiveError, Series, Word, _by_length,
-                    _scaled, _times)
+                    _times)
 
 
 def _expand(coeffs: Mapping[Word, int]) -> Dict[Word, int]:
@@ -80,36 +81,29 @@ class LieSeries(Series):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def generator(cls, alphabet: Alphabet, degree: int, i: int) -> "LieSeries":
-        if not 0 <= i < alphabet.n:
-            raise ValueError(f"generator index {i} out of range")
-        return cls(alphabet, degree, {(i,): Fraction(1)})
-
-    @classmethod
     def generators(cls, alphabet: Alphabet, degree: int) -> List["LieSeries"]:
         return [cls.generator(alphabet, degree, i) for i in range(alphabet.n)]
 
     # -- conversions ---------------------------------------------------
 
     def to_assoc(self) -> AssocSeries:
-        (coeffs,), denom = _scaled(self.coeffs)
-        return AssocSeries._from_scaled(self.alphabet, self.degree, _expand(coeffs), denom)
+        return AssocSeries._from_scaled(self.alphabet, self.degree, _expand(self._num),
+                                        self._den)
 
     @classmethod
     def from_assoc(cls, series: AssocSeries) -> "LieSeries":
         """Triangular solve against the Lyndon expansion; checks primitivity."""
-        (coeffs,), denom = _scaled(series.coeffs)
-        return cls._from_scaled(series.alphabet, series.degree, _solve(coeffs), denom)
+        return cls._from_scaled(series.alphabet, series.degree, _solve(series._num),
+                                series._den)
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
         """AB - BA on the word expansions, solved back to the Lyndon basis."""
         self._check_same(other)
-        (a, b), denom = _scaled(self.coeffs, other.coeffs)
-        a, b = _expand(a), _expand(b)
+        a, b = _expand(self._num), _expand(other._num)
         table = _times(a, _by_length(b), self.degree)
         _times(b, _by_length(a), self.degree, table, -1)
         return LieSeries._from_scaled(self.alphabet, self.degree, _solve(table),
-                                      denom * denom)
+                                      self._den * other._den)
 
     def substitute(self, images: Sequence["LieSeries"]) -> "LieSeries":
         """Lie-algebra-map extension of x_i -> images[i]."""

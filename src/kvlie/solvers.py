@@ -207,9 +207,11 @@ class AssociatorCandidate:
 
 def _tder_cap(u: TDer, d: int) -> TDer:
     """Drop components above derivation degree d, keeping the ambient."""
-    return TDer([LieSeries(u.alphabet, u.degree,
-                           {w: c for w, c in comp.coeffs.items() if len(w) <= d})
-                 for comp in u.components])
+    return TDer._trusted([
+        LieSeries._from_scaled(u.alphabet, u.degree,
+                               {w: n for w, n in comp._num.items() if len(w) <= d},
+                               comp._den)
+        for comp in u.components])
 
 
 def tder_bch(u: TDer, v: TDer, order: int) -> TDer:
@@ -227,9 +229,9 @@ def tder_bch(u: TDer, v: TDer, order: int) -> TDer:
             return (u, v)[struct]
         return realize(struct[0]).bracket(realize(struct[1]))
 
-    total = _lincomb(((c, realize(bracket_structure(w))) for w, c in ch.coeffs.items()),
+    total = _lincomb(((n, realize(bracket_structure(w))) for w, n in ch._num.items()),
                      TDer.zero(u.alphabet, u.degree))
-    return _tder_cap(total, order)
+    return _tder_cap(total, order).scale(Fraction(1, ch._den))
 
 
 def _bch_chain(factors: Sequence[TDer], order: int) -> TDer:

@@ -8,27 +8,26 @@ error, never a coercion.
 Word, Lie and cyclic series share one base class, ``Series``, and are
 validated once: ``Series.__init__`` is the public constructor of every
 kind, and each kind adds only its own key check.  Arithmetic on valid
-series builds its result through the private ``_trusted`` constructor,
-which only drops zeros.
+series builds its result through the private ``_from_scaled``
+constructor, which only puts the table in canonical form.
 
-Coefficients are stored as reduced ``Fraction``s, and every public method
-takes and returns them.  The exact kernels (word products, substitution,
-and in ``lie`` and ``derivations`` the Lyndon conversions, the Leibniz
-action and both brackets) do not compute with Fractions, though:
-``_scaled`` turns their operands into integer numerators over one common
-denominator, the inner loops multiply and add plain ints, and
-``Series._from_scaled`` reduces each output term to a Fraction once.
-Besides those two and the integer product ``_times``, the helpers that
-work in the scaled format are ``lie._expand`` (Lyndon to word numerators)
-and ``lie._solve`` (word to Lyndon numerators), and in ``derivations``
-the integer word view of a ``TDer`` (``TDer._word_view``) and its
-Leibniz action ``_act``.
+A series stores integer numerators over one denominator: ``_num`` maps
+each word to a nonzero int, ``_den`` is a positive int, and the two share
+no common factor (the zero series has ``_den == 1``).  So equal series
+store equal tables, and every exact kernel (sums, scaling, word products,
+substitution, and in ``lie``, ``cyclic``, ``derivations`` and
+``automorphisms`` the Lyndon conversions, the trace, the Leibniz action
+and both brackets) runs on plain ints.  ``_scaled`` brings several series
+over the lcm of their denominators.  ``Fraction``s are built only at the
+boundary: ``coefficient`` returns one, and ``coeffs`` is a Fraction
+view of the table, built on first read and kept, that the serializer and
+the repr read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -95,22 +94,21 @@ class Alphabet:
 _ZERO = Fraction(0)
 
 
-def _as_fraction(c) -> Fraction:
+def _as_fraction(c) -> Fraction | int:
+    """An exact rational: ints and Fractions pass through, floats are refused."""
     if isinstance(c, float):
         raise TypeError("floating point coefficients are not allowed here")
-    return Fraction(c)
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
-def _scaled(*tables: Mapping[Word, Fraction]) -> Tuple[List[Dict[Word, int]], int]:
-    """Integer numerators of Fraction tables over the lcm of all their
-    denominators: returns the numerator tables, in order, and that lcm."""
-    denom = 1
-    for table in tables:
-        for c in table.values():
-            if denom % c.denominator:
-                denom = lcm(denom, c.denominator)
-    return [{w: c.numerator * (denom // c.denominator) for w, c in table.items()}
-            for table in tables], denom
+def _scaled(*series: "Series") -> Tuple[List[Mapping[Word, int]], int]:
+    """Integer numerators of series over the lcm of their denominators:
+    returns the numerator tables, in order, and that lcm.  A table already
+    over the lcm is the stored one, so callers only read them."""
+    denom = lcm(*(s._den for s in series))
+    return [s._num if s._den == denom
+            else {w: n * (denom // s._den) for w, n in s._num.items()}
+            for s in series], denom
 
 
 def _by_length(table: Mapping[Word, int]) -> List[Tuple[int, list]]:
@@ -151,14 +149,12 @@ class Series:
     different kinds never compare equal, even with the same table.
     """
 
-    __slots__ = ("alphabet", "degree", "coeffs")
+    __slots__ = ("alphabet", "degree", "_num", "_den", "_coeffs")
 
     def __init__(self, alphabet: Alphabet, degree: int,
                  coeffs: Mapping[Word, Fraction] | None = None):
         if degree < 1:
             raise ValueError("truncation order must be >= 1")
-        self.alphabet = alphabet
-        self.degree = degree
         table: Dict[Word, Fraction] = {}
         if coeffs:
             for word, c in coeffs.items():
@@ -171,30 +167,43 @@ class Series:
                         raise ValueError(f"word {word} outside alphabet")
                     self._check_key(word)
                     table[word] = c
-        self.coeffs = table
+        denom = lcm(*(c.denominator for c in table.values()))
+        self._store(alphabet, degree,
+                    {w: c.numerator * (denom // c.denominator) for w, c in table.items()},
+                    denom)
 
-    @classmethod
-    def _trusted(cls, alphabet: Alphabet, degree: int,
-                 table: Mapping[Word, Fraction]) -> "Series":
-        """Wrap a table built from valid series over the same ambient.
-
-        The keys must already be in-alphabet keys of this kind no longer
-        than ``degree`` and the values Fractions; only zeros are dropped.
-        """
-        self = object.__new__(cls)
-        self.alphabet = alphabet
-        self.degree = degree
-        self.coeffs = {w: c for w, c in table.items() if c}
-        return self
+    def _store(self, alphabet: Alphabet, degree: int,
+               numerators: Dict[Word, int], denom: int) -> None:
+        """Hold ``numerators`` over ``denom > 0`` in canonical form: zeros
+        dropped and the common factor divided out.  Takes ownership of the
+        table when it is already canonical."""
+        self.alphabet, self.degree, self._coeffs = alphabet, degree, None
+        if 0 in numerators.values():
+            numerators = {w: n for w, n in numerators.items() if n}
+        g = gcd(denom, *numerators.values())
+        if g != 1:
+            numerators = {w: n // g for w, n in numerators.items()}
+            denom //= g
+        self._num, self._den = numerators, denom
 
     @classmethod
     def _from_scaled(cls, alphabet: Alphabet, degree: int,
-                     numerators: Mapping[Word, int], denom: int) -> "Series":
-        """Like ``_trusted`` for a table of integer numerators over ``denom``,
-        as ``_scaled`` makes them: each nonzero one becomes a reduced Fraction."""
-        self = cls._trusted(alphabet, degree, {})
-        self.coeffs = {w: Fraction(n, denom) for w, n in numerators.items() if n}
+                     numerators: Dict[Word, int], denom: int) -> "Series":
+        """Wrap integer numerators over ``denom`` built from valid series over
+        the same ambient: the keys must already be in-alphabet keys of this
+        kind no longer than ``degree``; the table is only put in canonical form."""
+        self = object.__new__(cls)
+        self._store(alphabet, degree, numerators, denom)
         return self
+
+    @property
+    def coeffs(self) -> Dict[Word, Fraction]:
+        """The table as reduced Fractions, built on first read and kept;
+        callers only read it."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = {w: Fraction(n, den) for w, n in self._num.items()}
+        return self._coeffs
 
     # -- key hooks ----------------------------------------------------
 
@@ -215,6 +224,13 @@ class Series:
     def zero(cls, alphabet: Alphabet, degree: int) -> "Series":
         return cls(alphabet, degree, {})
 
+    @classmethod
+    def generator(cls, alphabet: Alphabet, degree: int, i: int) -> "Series":
+        """The single key (i,) with coefficient 1: x_i, [x_i] or tr(x_i)."""
+        if not 0 <= i < alphabet.n:
+            raise ValueError(f"generator index {i} out of range")
+        return cls(alphabet, degree, {(i,): 1})
+
     def _check_same(self, other: "Series"):
         if type(other) is not type(self):
             raise AmbientMismatch(f"kind mismatch: {type(self).__name__} vs "
@@ -228,66 +244,69 @@ class Series:
         if type(other) is not type(self):
             return NotImplemented
         return (self.alphabet == other.alphabet and self.degree == other.degree
-                and self.coeffs == other.coeffs)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.alphabet, self.degree, frozenset(self.coeffs.items())))
+        return hash((self.alphabet, self.degree, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __repr__(self):
         name = type(self).__name__
-        if not self.coeffs:
+        if not self._num:
             return f"<{name} 0>"
         bits = [f"{self.coeffs[w]}*{self._term(w)}"
-                for w in sorted(self.coeffs, key=lambda w: (len(w), w))]
+                for w in sorted(self._num, key=lambda w: (len(w), w))]
         return f"<{name} " + " + ".join(bits) + ">"
 
     def coefficient(self, word: Word) -> Fraction:
-        return self.coeffs.get(self._key(tuple(word)), _ZERO)
+        n = self._num.get(self._key(tuple(word)))
+        return Fraction(n, self._den) if n else _ZERO
 
     def homogeneous(self, d: int) -> "Series":
-        return self._trusted(
+        return self._from_scaled(
             self.alphabet, self.degree,
-            {w: c for w, c in self.coeffs.items() if len(w) == d})
+            {w: n for w, n in self._num.items() if len(w) == d}, self._den)
 
     def min_degree(self) -> int | None:
-        return min((len(w) for w in self.coeffs), default=None)
+        return min(map(len, self._num), default=None)
 
     def truncated(self, degree: int) -> "Series":
         if degree < 1:
             raise ValueError("truncation order must be >= 1")
-        return self._trusted(
+        return self._from_scaled(
             self.alphabet, degree,
-            {w: c for w, c in self.coeffs.items() if len(w) <= degree})
+            {w: n for w, n in self._num.items() if len(w) <= degree}, self._den)
 
     # -- linear structure ---------------------------------------------
 
-    def __add__(self, other: "Series") -> "Series":
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        """self + sign * other, summed over their common denominator."""
         self._check_same(other)
-        table = dict(self.coeffs)
+        (a, b), denom = _scaled(self, other)
+        table = dict(a)
         get = table.get
-        for w, c in other.coeffs.items():
-            table[w] = get(w, _ZERO) + c
-        return self._trusted(self.alphabet, self.degree, table)
+        for w, n in b.items():
+            table[w] = get(w, 0) + sign * n
+        return self._from_scaled(self.alphabet, self.degree, table, denom)
 
-    def __neg__(self) -> "Series":
-        return self._trusted(self.alphabet, self.degree,
-                             {w: -c for w, c in self.coeffs.items()})
+    def __add__(self, other: "Series") -> "Series":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Series") -> "Series":
-        self._check_same(other)
-        table = dict(self.coeffs)
-        get = table.get
-        for w, c in other.coeffs.items():
-            table[w] = get(w, _ZERO) - c
-        return self._trusted(self.alphabet, self.degree, table)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Series":
+        return self._from_scaled(self.alphabet, self.degree,
+                                 {w: -n for w, n in self._num.items()}, self._den)
 
     def scale(self, c) -> "Series":
         c = _as_fraction(c)
-        return self._trusted(self.alphabet, self.degree,
-                             {w: c * v for w, v in self.coeffs.items()})
+        p = c.numerator
+        return self._from_scaled(self.alphabet, self.degree,
+                                 {w: p * n for w, n in self._num.items()},
+                                 self._den * c.denominator)
 
 
 class AssocSeries(Series):
@@ -306,11 +325,11 @@ class AssocSeries(Series):
         super().__init__(alphabet, degree, coeffs)
 
     @classmethod
-    def _trusted(cls, alphabet: Alphabet, degree: int,
-                 table: Mapping[Word, Fraction]) -> "AssocSeries":
-        """Like ``Series._trusted``; the result is unital, like every
+    def _from_scaled(cls, alphabet: Alphabet, degree: int,
+                     numerators: Dict[Word, int], denom: int) -> "AssocSeries":
+        """Like ``Series._from_scaled``; the result is unital, like every
         arithmetic result."""
-        self = super()._trusted(alphabet, degree, table)
+        self = super()._from_scaled(alphabet, degree, numerators, denom)
         self.unital = True
         return self
 
@@ -327,15 +346,9 @@ class AssocSeries(Series):
     def one(cls, alphabet: Alphabet, degree: int) -> "AssocSeries":
         return cls(alphabet, degree, {(): Fraction(1)})
 
-    @classmethod
-    def generator(cls, alphabet: Alphabet, degree: int, i: int) -> "AssocSeries":
-        if not 0 <= i < alphabet.n:
-            raise ValueError(f"generator index {i} out of range")
-        return cls(alphabet, degree, {(i,): Fraction(1)})
-
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((), Fraction(0))
+        return self.coefficient(())
 
     def truncated(self, degree: int) -> "AssocSeries":
         out = super().truncated(degree)
@@ -346,10 +359,10 @@ class AssocSeries(Series):
 
     def __mul__(self, other: "AssocSeries") -> "AssocSeries":
         self._check_same(other)
-        (left, right), denom = _scaled(self.coeffs, other.coeffs)
-        return AssocSeries._from_scaled(self.alphabet, self.degree,
-                                        _times(left, _by_length(right), self.degree),
-                                        denom * denom)
+        return AssocSeries._from_scaled(
+            self.alphabet, self.degree,
+            _times(self._num, _by_length(other._num), self.degree),
+            self._den * other._den)
 
     def commutator(self, other: "AssocSeries") -> "AssocSeries":
         return self * other - other * self
@@ -396,12 +409,12 @@ class AssocSeries(Series):
             target._check_same(im)
             if im.constant_term:
                 raise ValueError("substitution image has a degree-0 term")
-        scaled, denom = _scaled(*(im.coeffs for im in images))
+        scaled, denom = _scaled(*images)
         factors = [_by_length(im) for im in scaled]
         degree = target.degree
         # prefix -> (integer table of its image, the denominator under it)
         cache: Dict[Word, Tuple[Dict[Word, int], int]] = {(): ({(): 1}, 1)}
-        for word in sorted(self.coeffs, key=len):
+        for word in sorted(self._num, key=len):
             if word not in cache:
                 # walk up to the nearest cached prefix, filling the gaps
                 # so sibling words can reuse them
@@ -413,14 +426,14 @@ class AssocSeries(Series):
                     acc = _times(acc, factors[word[pos]], degree)
                     acc_denom *= denom
                     cache[word[:pos + 1]] = (acc, acc_denom)
-        (coeffs,), outer = _scaled(self.coeffs)
         # each prefix sits over a power of denom, so the largest is their lcm
-        common = max((cache[word][1] for word in coeffs), default=1)
+        common = max((cache[word][1] for word in self._num), default=1)
         table: Dict[Word, int] = {}
         get = table.get
-        for word, c in coeffs.items():
+        for word, c in self._num.items():
             image, image_denom = cache[word]
             c *= common // image_denom
             for w, e in image.items():
                 table[w] = get(w, 0) + c * e
-        return AssocSeries._from_scaled(target.alphabet, degree, table, outer * common)
+        return AssocSeries._from_scaled(target.alphabet, degree, table,
+                                        self._den * common)

@@ -315,6 +315,17 @@ def test_byte_determinism():
     assert mc1.stdout == mc2.stdout
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # the reading end is closed before the child writes, so its write fails
+    golden = Path(__file__).parent / "golden" / "taut_input_d6.json"
+    proc = subprocess.Popen(KVLIE + ["exp", "--input", str(golden)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 def zero_tder_doc(n, degree=3):
     return json.dumps({"n": n, "components": [{"degreeN": degree, "terms": []}] * n})
 

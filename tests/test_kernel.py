@@ -7,6 +7,7 @@ zero coefficient, an over-long word or a key the public constructor would
 refuse.
 """
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,57 @@ def test_tder_bracket_matches_fraction_reference(data, n, degree):
     for i, (a, image) in enumerate(zip(u.components, u.generator_images())):
         assert_clean(image, degree, AssocSeries)
         assert_stored(image, ref_commutator({(i,): Fraction(1)}, ref_to_assoc(a), degree))
+
+
+# -- stored form ----------------------------------------------------------
+#
+# A series stores integer numerators over one denominator in canonical
+# form; Fractions exist only in the ``coeffs`` view and ``coefficient``.
+
+
+def assert_canonical(s):
+    """No zero numerator, a positive denominator sharing no factor with all
+    the numerators, and the Fraction view and ``coefficient`` agreeing."""
+    assert all(type(v) is int and v != 0 for v in s._num.values())
+    assert type(s._den) is int and s._den >= 1
+    assert math.gcd(s._den, *s._num.values()) == 1
+    assert s.coeffs == {w: Fraction(v, s._den) for w, v in s._num.items()}
+    smallest = 1 if isinstance(s, CycSeries) else 0  # a necklace is nonempty
+    for length in range(smallest, s.degree + 1):
+        for w in itertools.product(range(s.alphabet.n), repeat=length):
+            assert s.coefficient(w) == s.coeffs.get(s._key(w), 0)
+
+
+@KERNEL_SETTINGS
+@given(st.data(), st.integers(2, 3), st.integers(1, 4))
+def test_every_result_is_stored_in_canonical_form(data, n, degree):
+    pool = data.draw(coefficient_pools())
+    a, b = (data.draw(pooled_assoc(n, degree, pool)) for _ in range(2))
+    x, y = (data.draw(pooled_lie(n, degree, pool)) for _ in range(2))
+    p, q = (tr_project(s - s.homogeneous(0)) for s in (a, b))
+    images = [data.draw(pooled_assoc(n, degree, pool, unital=False, max_size=4))
+              for _ in range(n)]
+    c = data.draw(pool)
+    cut = data.draw(st.integers(1, degree))
+    results = [a * b, b * a, a.substitute(images), LieSeries.from_assoc(x.to_assoc()),
+               x.bracket(y), y.bracket(x)]
+    for s, t in ((a, b), (x, y), (p, q)):
+        results += [s, s + t, s - t, s - s, s.scale(c), s.scale(0),
+                    s.homogeneous(cut), s.truncated(cut)]
+        for same in ((s + t) - t, s.scale(2).scale(Fraction(1, 2)),
+                     s.scale(c).scale(1 / c), type(s)(s.alphabet, s.degree, s.coeffs)):
+            assert same == s and hash(same) == hash(s)
+    for r in results:
+        assert_canonical(r)
+
+
+def test_equal_tables_over_different_denominators_store_alike():
+    a = LieSeries(A2, 3, {(0,): Fraction(2, 4), (0, 1): Fraction(3, 6)})
+    b = LieSeries(A2, 3, {(0,): Fraction(1, 6)}).scale(3) + LieSeries(
+        A2, 3, {(0, 1): Fraction(1, 10)}).scale(5)
+    assert (a._num, a._den) == (b._num, b._den) == ({(0,): 1, (0, 1): 1}, 2)
+    assert a == b and hash(a) == hash(b)
+    assert (a - b)._den == 1 and not a - b
 
 
 # -- independent_subset -------------------------------------------------
