@@ -5,6 +5,8 @@ This is the only module that touches floating point.  Weights are
 upper half-plane configurations, with the two ground points gauge-fixed
 at 0 and 1.  The closed-form example integral is done by adaptive
 quadrature, generic small graphs by importance-sampled Monte Carlo.
+numpy and scipy are imported on first use, inside the functions that
+call them, so the exact layers and the CLI start without them.
 """
 from __future__ import annotations
 
@@ -12,12 +14,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
-from scipy import integrate
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .graphs import GROUNDS, KGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,6 +93,7 @@ def example_weight_quadrature(tolerance: float = 1e-10) -> WeightEstimate:
     integrated over (0,1); the exact value is 1/24."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    from scipy import integrate
 
     def integrand(s: float) -> float:
         return -(math.log1p(-s) / s + math.log(s) / (1.0 - s)) / (8.0 * math.pi ** 2)
@@ -118,6 +121,7 @@ _DISK_RADIUS = 2.0
 
 
 def _sample_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    import numpy as np
     which = rng.choice(len(_MIX), size=count, p=[w for w, _c, _k in _MIX])
     theta = rng.uniform(0.0, math.pi, size=count)
     r = np.empty(count)
@@ -134,6 +138,7 @@ def _sample_points(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _proposal_density(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     dens = np.zeros(z.shape, dtype=float)
     for w, center, kind in _MIX:
         r = np.abs(z - center)
@@ -195,6 +200,7 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
             f"need 1 <= streams <= samples, got {streams} streams for {samples} samples")
     if batch < 1:
         raise ValueError(f"need a batch of at least 1 sample, got {batch}")
+    import numpy as np
     n = graph.n
     norm = ORIENTATION_SIGN / TWO_PI ** (2 * n)
     children = np.random.SeedSequence(seed).spawn(streams)

@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, JSON output, determinism."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -371,3 +372,36 @@ def test_main_reuses_one_parser(capsys):
     assert runs[0][0] == 0 and runs[0] == runs[3]
     assert runs[1] == (2, "")
     assert runs[2][0] == 0 and json.loads(runs[2][1])["degreeN"] == 6
+
+
+_LAZY_FLOAT_STACK = """
+import contextlib, io, json, sys
+import kvlie, kvlie.cli
+
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert kvlie.cli.main(list(argv)) == 0
+    return out.getvalue()
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+call("bch", "--degree", "4")
+call("assoc-solve", "--degree", "3")
+exact = loaded()
+value = json.loads(call("weight", "example", "--tol", "1e-8"))["value"]
+print(json.dumps({"exact": exact, "float": loaded(), "value": value}))
+"""
+
+
+def test_float_stack_loads_only_for_a_weight():
+    src = Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run([sys.executable, "-c", _LAZY_FLOAT_STACK],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["exact"] == []
+    assert doc["float"] == ["numpy", "scipy"]
+    assert abs(doc["value"] - 1 / 24) <= 1e-8
