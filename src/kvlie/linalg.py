@@ -176,9 +176,3 @@ class Echelon:
                                  for k in range(i + 1, len(factors)) if coords[k])
             coords[i] = s / mix[i][i]
         return coords
-
-
-def independent_subset(vectors: Sequence[Vector]) -> List[int]:
-    """Indices of a maximal linearly independent subset, scanned in order
-    (the ``chosen`` of an ``Echelon``)."""
-    return list(Echelon(vectors).chosen)

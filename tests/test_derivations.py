@@ -176,7 +176,7 @@ def uncached_braid_basis(n, d, degree):
         return (l1, l2), u1.bracket(u2)
 
     candidates = [realize(bracket_structure(w)) for w in lyndon_basis(len(pairs), d)]
-    keep = linalg.independent_subset([tder_coords(u, d) for _lbl, u in candidates])
+    keep = linalg.Echelon([tder_coords(u, d) for _lbl, u in candidates]).chosen
     return [candidates[i] for i in keep]
 
 

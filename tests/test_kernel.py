@@ -453,7 +453,7 @@ def test_equal_tables_over_different_denominators_store_alike():
     assert (a - b)._den == 1 and not a - b
 
 
-# -- independent_subset -------------------------------------------------
+# -- independent subset (Echelon.chosen) ---------------------------------
 
 
 def rank_scan_reference(vectors):
@@ -494,7 +494,7 @@ def candidate_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(candidate_lists())
 def test_independent_subset_matches_rank_scan(vectors):
-    assert linalg.independent_subset(vectors) == rank_scan_reference(vectors)
+    assert list(linalg.Echelon(vectors).chosen) == rank_scan_reference(vectors)
 
 
 @settings(max_examples=200, deadline=None)
