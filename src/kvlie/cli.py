@@ -155,7 +155,6 @@ def _cmd_assoc_solve(args):
     cand, report = solve_associator(args.degree, args.parity, sign)
     _emit({"element": serialize.encode_taut(cand.element),
            "log": serialize.encode_tder(cand.log),
-           "group_like_verified": cand.group_like_verified,
            "tn_coordinates": serialize.encode_value(
                {d: [[repr(lbl), serialize.encode_fraction(c)] for lbl, c in v]
                 for d, v in cand.tn_coordinates.items()}),

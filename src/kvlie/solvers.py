@@ -201,7 +201,6 @@ def _j_subspace_rank_test(j: CycSeries, degree: int) -> bool:
 class AssociatorCandidate:
     element: TAutElem
     log: TDer
-    group_like_verified: bool
     tn_coordinates: Dict[int, List] = field(default_factory=dict)
 
 
@@ -419,11 +418,8 @@ def solve_associator(degree: int, parity: str = "even",
         report.records.append(DegreeRecord(
             d, len(basis), len(basis) - len(null), not any(check), solution))
 
-    element = taut_exp(phi)
-    candidate = AssociatorCandidate(
-        element=element, log=phi,
-        group_like_verified=(taut_log(element) == phi),
-        tn_coordinates=coords)
+    candidate = AssociatorCandidate(element=taut_exp(phi), log=phi,
+                                    tn_coordinates=coords)
     return candidate, report
 
 
