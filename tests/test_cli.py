@@ -389,6 +389,7 @@ def loaded():
 
 call("bch", "--degree", "4")
 call("assoc-solve", "--degree", "3")
+call("angle", "--p", "0.5+1j", "--q", "1+2j")
 exact = loaded()
 value = json.loads(call("weight", "example", "--tol", "1e-8"))["value"]
 print(json.dumps({"exact": exact, "float": loaded(), "value": value}))
