@@ -2,17 +2,16 @@
 
 A tangential derivation is stored as the tuple (a_1, ..., a_n) acting on
 generators by x_i -> [x_i, a_i].  The normalization that a_k carries no
-linear x_k term is projected away at construction (strict mode errors
-instead); with it, tuples correspond one-to-one to their actions.
+linear x_k term is projected away at construction; with it, tuples
+correspond one-to-one to their actions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import linalg
 from .cyclic import CycSeries, partial_decompose, tr_project
 from .lie import LieSeries, _expand, _solve
 from .lyndon import bracket_structure, lyndon_basis
@@ -32,7 +31,7 @@ class TDer:
 
     __slots__ = ("alphabet", "degree", "components", "_images", "_words")
 
-    def __init__(self, components: Sequence[LieSeries], strict: bool = False):
+    def __init__(self, components: Sequence[LieSeries]):
         components = tuple(components)
         if not components:
             raise ValueError("a tangential derivation needs components")
@@ -45,9 +44,6 @@ class TDer:
         for k, a in enumerate(components):
             bad = a.coefficient((k,))
             if bad:
-                if strict:
-                    raise ValueError(
-                        f"component {k} has a linear x_{k + 1} term ({bad})")
                 a = a - LieSeries.generator(a.alphabet, a.degree, k).scale(bad)
             normalized.append(a)
         self._hold(normalized)
@@ -208,6 +204,17 @@ def _act(images: List[List[Tuple[int, list]]], coeffs: Dict[Word, int], degree: 
     return table
 
 
+def _lincomb(terms: Iterable[Tuple[Fraction, object]], zero):
+    """The sum of c * u over the (c, u) terms, skipping those where c or u
+    is zero; ``zero`` when every term is skipped."""
+    out = None
+    for c, u in terms:
+        if c and u:
+            u = u if c == 1 else u.scale(c)
+            out = u if out is None else out + u
+    return zero if out is None else out
+
+
 def divergence(u: TDer) -> CycSeries:
     """div(u) = sum_i tr(x_i * d_i(a_i))."""
     out = CycSeries.zero(u.alphabet, u.degree)
@@ -341,34 +348,34 @@ def tder_coords(u: TDer, d: int) -> List[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _braid_basis(n: int, d: int) -> Tuple[Tuple[Tuple[tuple, TDer], ...], linalg.Echelon]:
-    """The degree-d braid bracket basis of t_n at truncation d, and the
-    echelon form of its coordinate vectors; built once per (n, d).
+def _braid_basis(n: int, d: int) -> Tuple[Tuple[Tuple[tuple, TDer], ...], ...]:
+    """The degree-d braid bracket basis of t_n at truncation d, one block
+    per strand i = 1..n-1; built once per (n, d).
 
+    Drinfeld's decomposition t_n = f(t^{12}, ..., t^{1n}) + t_{n-1} (strands
+    2..n, as vector spaces), applied strand by strand, makes block i the
+    standard bracketings of the Lyndon words over t^{i,i+1}, ..., t^{i,n}.
     A d-fold bracket of degree-1 generators is homogeneous of degree d, so
     truncation d computes it exactly.  Callers validate (n, d) first.
     """
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    gens = [braid_embed(BraidGenerator(i, j, n), d) for (i, j) in pairs]
-    realized: Dict[object, TDer] = {}
+    blocks = []
+    for i in range(1, n):
+        pairs = [(i, j) for j in range(i + 1, n + 1)]
+        gens = [braid_embed(BraidGenerator(i, j, n), d) for i, j in pairs]
+        realized: Dict[object, Tuple[tuple, TDer]] = {}
 
-    def realize(struct):
-        if struct not in realized:
-            realized[struct] = (gens[struct] if isinstance(struct, int) else
-                                realize(struct[0]).bracket(realize(struct[1])))
-        return realized[struct]
+        def realize(struct):
+            if struct not in realized:
+                if isinstance(struct, int):
+                    realized[struct] = pairs[struct], gens[struct]
+                else:
+                    (l1, u1), (l2, u2) = realize(struct[0]), realize(struct[1])
+                    realized[struct] = (l1, l2), u1.bracket(u2)
+            return realized[struct]
 
-    def label(struct):
-        if isinstance(struct, int):
-            return pairs[struct]
-        return (label(struct[0]), label(struct[1]))
-
-    candidates = []
-    for word in lyndon_basis(len(pairs), d):
-        struct = bracket_structure(word)
-        candidates.append((label(struct), realize(struct)))
-    echelon = linalg.Echelon([tder_coords(u, d) for (_lbl, u) in candidates])
-    return tuple(candidates[i] for i in echelon.chosen), echelon
+        blocks.append(tuple(realize(bracket_structure(w))
+                            for w in lyndon_basis(len(pairs), d)))
+    return tuple(blocks)
 
 
 def _check_braid_key(n: int, d: int) -> None:
@@ -382,22 +389,27 @@ def braid_bracket_basis(n: int, d: int, degree: int) -> List[Tuple[tuple, TDer]]
     """Independent degree-d brackets of the embedded t^{ij}, at truncation
     ``degree`` (at least d).
 
-    Spanning set: standard bracketings of Lyndon words over the generator
-    pairs; an independent subset is extracted by exact elimination.  Each
-    entry is (bracket expression over pairs, embedded derivation).  The
-    basis is built once per process for each (n, d); every call returns a
-    fresh list.
+    For each strand i = 1..n-1 in turn, the standard bracketings of the
+    Lyndon words over t^{i,i+1}, ..., t^{i,n}.  Each entry is (bracket
+    expression over pairs, embedded derivation).  The basis is built once
+    per process for each (n, d); every call returns a fresh list.
     """
     _check_braid_key(n, d)
     if degree < d:
         raise ValueError(f"truncation {degree} is below the bracket degree {d}")
-    entries, _echelon = _braid_basis(n, d)
-    return [(lbl, e.truncated(degree)) for lbl, e in entries]
+    return [(lbl, e.truncated(degree)) for block in _braid_basis(n, d) for lbl, e in block]
 
 
 def tn_membership(u: TDer, d: Optional[int] = None):
     """Coordinates of a homogeneous derivation on the degree-d braid bracket
     basis, or None when it lies outside the span.
+
+    The coordinates are read strand by strand.  Component i of a block-i
+    bracket, at x_i = 0, is the same bracket of x_{i+1}, ..., x_n, and the
+    later blocks vanish in component i.  So block i's coordinates are the
+    Lyndon coefficients of component i of the remainder on the words in
+    x_{i+1}, ..., x_n.  Once that block's combination is subtracted, strand
+    i + 1 follows; a nonzero final remainder is outside the span.
 
     u needs at least 2 generators; d runs from 1 to u's truncation.
     """
@@ -411,9 +423,13 @@ def tn_membership(u: TDer, d: Optional[int] = None):
         d = degs.pop()
     elif degs - {d}:
         raise ValueError("membership input must be homogeneous of the stated degree")
-    _check_braid_key(u.alphabet.n, d)
-    entries, echelon = _braid_basis(u.alphabet.n, d)
-    coords = echelon.coordinates(tder_coords(u, d))
-    if coords is None:
-        return None
-    return [(lbl, c) for (lbl, _), c in zip(entries, coords)]
+    n = u.alphabet.n
+    _check_braid_key(n, d)
+    rest, zero = u.truncated(d), TDer.zero(u.alphabet, d)
+    coords = []
+    for i, block in enumerate(_braid_basis(n, d)):
+        cs = [rest.components[i].coefficient(tuple(i + 1 + k for k in w))
+              for w in lyndon_basis(n - 1 - i, d)]
+        rest = rest - _lincomb(zip(cs, (e for _lbl, e in block)), zero)
+        coords += [(lbl, c) for (lbl, _e), c in zip(block, cs)]
+    return None if rest else coords

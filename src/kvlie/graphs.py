@@ -70,11 +70,6 @@ class KGraph:
     def out_edges(self, v: int) -> List[Edge]:
         return [e for e in self.edges if e[0] == v]
 
-    def with_edge_order(self, order: List[int]) -> "KGraph":
-        if sorted(order) != list(range(len(self.edges))):
-            raise ValueError("not a permutation of edge positions")
-        return KGraph(self.n, tuple(self.edges[i] for i in order), self.m)
-
 
 # -- binary tree (Lie type) graphs ------------------------------------
 #

@@ -119,60 +119,3 @@ def in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]:
     sol, _basis = solve_affine(a, list(target))
     return sol
 
-
-class Echelon:
-    """A maximal linearly independent subset of vectors, scanned in order,
-    kept in echelon form.
-
-    ``chosen`` holds the indices of the kept vectors.  Each kept vector is
-    reduced against the earlier ones and scaled to 1 at its pivot, so it
-    vanishes at every earlier pivot.  A candidate reduced against them all
-    in order vanishes at every pivot, and is therefore zero exactly when it
-    is dependent.  The factors of each reduction are kept too: kept vector
-    k is ``sum(mix[k][i] * row_i for i <= k)``, a triangular system that
-    turns the factors of any reduction back into coordinates on the kept
-    vectors.  Nothing changes after construction.
-    """
-
-    __slots__ = ("chosen", "_rows", "_mix")
-
-    def __init__(self, vectors: Sequence[Vector]):
-        chosen: List[int] = []
-        self._rows: List[Tuple[int, Vector]] = []
-        self._mix: List[Vector] = []
-        for idx, vec in enumerate(vectors):
-            factors, v = self._reduce(vec)
-            pivot = next((c for c, a in enumerate(v) if a), None)
-            if pivot is None:
-                continue
-            inv = Fraction(1) / v[pivot]
-            self._rows.append((pivot, [a * inv for a in v]))
-            self._mix.append(factors + [v[pivot]])
-            chosen.append(idx)
-        self.chosen = tuple(chosen)
-
-    def _reduce(self, vec: Sequence[Fraction]) -> Tuple[Vector, Vector]:
-        """(factor of each row, remainder) of vec reduced against the rows."""
-        v = list(vec)
-        factors: Vector = []
-        for c, row in self._rows:
-            f = v[c]
-            factors.append(f)
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return factors, v
-
-    def coordinates(self, vec: Sequence[Fraction]) -> Optional[Vector]:
-        """Coordinates of vec on the kept vectors, in order, or None when a
-        remainder is left (vec is outside their span).  They are unique,
-        because the kept vectors are independent."""
-        factors, rest = self._reduce(vec)
-        if any(rest):
-            return None
-        mix = self._mix
-        coords: Vector = [Fraction(0)] * len(factors)
-        for i in reversed(range(len(factors))):
-            s = factors[i] - sum(coords[k] * mix[k][i]
-                                 for k in range(i + 1, len(factors)) if coords[k])
-            coords[i] = s / mix[i][i]
-        return coords

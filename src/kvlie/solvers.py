@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cyclic import CycSeries, duflo_series, h_subspace_vector
-from .derivations import (BraidGenerator, TDer, braid_bracket_basis, braid_embed,
-                          divergence, tder_coords, tder_extend)
+from .derivations import (BraidGenerator, TDer, _lincomb, braid_bracket_basis,
+                          braid_embed, divergence, tder_coords, tder_extend)
 from .lie import LieSeries, bch_xy
 from .lyndon import bracket_structure, lyndon_basis
 from .automorphisms import (TAutElem, inner_automorphism, r_element,
@@ -41,17 +41,6 @@ class DegreeReport:
 
     def all_zero(self) -> bool:
         return all(r.residual_zero for r in self.records)
-
-
-def _lincomb(terms: Iterable[Tuple[Fraction, object]], zero):
-    """The sum of c * u over the (c, u) terms, skipping those where c or u
-    is zero; ``zero`` when every term is skipped."""
-    out = None
-    for c, u in terms:
-        if c and u:
-            u = u if c == 1 else u.scale(c)
-            out = u if out is None else out + u
-    return zero if out is None else out
 
 
 def _necklace_basis(n: int, d: int):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kvlie import linalg
 from kvlie.cyclic import CycSeries, canonical_rotation, partial_decompose, tr_project
 from kvlie.derivations import TDer
 from kvlie.lie import LieSeries
@@ -451,63 +450,3 @@ def test_equal_tables_over_different_denominators_store_alike():
     assert (a._num, a._den) == (b._num, b._den) == ({(0,): 1, (0, 1): 1}, 2)
     assert a == b and hash(a) == hash(b)
     assert (a - b)._den == 1 and not a - b
-
-
-# -- independent subset (Echelon.chosen) ---------------------------------
-
-
-def rank_scan_reference(vectors):
-    """The former implementation: full rank recomputed per candidate."""
-    chosen, rows, current = [], [], 0
-    for idx, vec in enumerate(vectors):
-        trial = rows + [list(vec)]
-        r = linalg.rank(trial)
-        if r > current:
-            chosen.append(idx)
-            rows, current = trial, r
-    return chosen
-
-
-@st.composite
-def candidate_lists(draw):
-    """Vectors mixing fresh ones with zeros, duplicates and combinations."""
-    width = draw(st.integers(1, 5))
-    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    fresh = st.lists(entry, min_size=width, max_size=width)
-    out = []
-    for _ in range(draw(st.integers(0, 9))):
-        kind = draw(st.sampled_from(["fresh", "zero", "dup", "combo"]))
-        if kind == "zero" or (kind != "fresh" and not out):
-            out.append([Fraction(0)] * width)
-        elif kind == "fresh":
-            out.append(draw(fresh))
-        elif kind == "dup":
-            out.append(list(draw(st.sampled_from(out))))
-        else:
-            picks = draw(st.lists(st.sampled_from(out), min_size=1, max_size=3))
-            coeffs = draw(st.lists(entry, min_size=len(picks), max_size=len(picks)))
-            out.append([sum((c * v[j] for c, v in zip(coeffs, picks)), Fraction(0))
-                        for j in range(width)])
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(candidate_lists())
-def test_independent_subset_matches_rank_scan(vectors):
-    assert list(linalg.Echelon(vectors).chosen) == rank_scan_reference(vectors)
-
-
-@settings(max_examples=200, deadline=None)
-@given(candidate_lists(), st.data())
-def test_echelon_coordinates_match_in_span(vectors, data):
-    echelon = linalg.Echelon(vectors)
-    kept = [vectors[i] for i in echelon.chosen]
-    width = len(vectors[0]) if vectors else 1
-    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    coeffs = data.draw(st.lists(entry, min_size=len(kept), max_size=len(kept)))
-    inside = [sum((c * v[j] for c, v in zip(coeffs, kept)), Fraction(0))
-              for j in range(width)]
-    if kept:
-        assert echelon.coordinates(inside) == coeffs
-    anywhere = data.draw(st.lists(entry, min_size=width, max_size=width))
-    assert echelon.coordinates(anywhere) == linalg.in_span(kept, anywhere)

@@ -82,13 +82,6 @@ def test_in_span():
     assert linalg.in_span([v1, v2], [Fraction(0), Fraction(0), Fraction(1)]) is None
 
 
-def test_independent_subset():
-    v1 = [Fraction(1), Fraction(0)]
-    v2 = [Fraction(2), Fraction(0)]
-    v3 = [Fraction(0), Fraction(1)]
-    assert list(linalg.Echelon([v1, v2, v3]).chosen) == [0, 2]
-
-
 def test_solve_unique_rejects_underdetermined():
     a = [[Fraction(1), Fraction(1)]]
     with pytest.raises(ValueError):
