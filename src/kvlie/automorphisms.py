@@ -9,13 +9,15 @@ signs pinned by the R-lemma ch(x,y) -> ch(y,x).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cyclic import CycSeries, tr_project
 from .derivations import TDer, divergence, parse_pattern, pattern_sums
 from .lie import LieSeries
-from .words import Alphabet, AmbientMismatch, AssocSeries, NotPrimitiveError, Word
+from .words import (Alphabet, AmbientMismatch, AssocSeries, NotPrimitiveError, Word,
+                    _lincomb, _powers)
 
 
 class NotTangentialImage(ValueError):
@@ -56,14 +58,9 @@ def _ad_inverse(i: int, r: LieSeries) -> Optional[LieSeries]:
 
 def ad_exponential(c: LieSeries, target: LieSeries) -> LieSeries:
     """e^{ad_c} applied to target, i.e. Ad of the group-like exp(c)."""
-    result = target
-    term = target
-    for k in range(1, c.degree + 1):
-        term = c.bracket(term).scale(Fraction(1, k))
-        if not term:
-            break
-        result = result + term
-    return result
+    return _lincomb(zip((Fraction(1, factorial(k)) for k in count()),
+                        _powers(c.bracket, target)),
+                    LieSeries.zero(target.alphabet, target.degree))
 
 
 class TAutElem:
@@ -207,16 +204,10 @@ class TAutElem:
 
 def taut_exp(u: TDer) -> TAutElem:
     """x_i -> sum_k u^k(x_i)/k!, truncated."""
-    images = []
-    for i in range(u.alphabet.n):
-        s = LieSeries.generator(u.alphabet, u.degree, i)
-        term = s
-        for k in range(1, u.degree + 1):
-            term = u.apply(term).scale(Fraction(1, k))
-            if not term:
-                break
-            s = s + term
-        images.append(s)
+    zero = LieSeries.zero(u.alphabet, u.degree)
+    images = [_lincomb(zip((Fraction(1, factorial(k)) for k in count()),
+                           _powers(u.apply, x)), zero)
+              for x in LieSeries.generators(u.alphabet, u.degree)]
     return TAutElem(images, log_certificate=u, check=False)
 
 
@@ -272,14 +263,9 @@ def taut_extend(g: TAutElem, pattern, arity: Optional[int] = None) -> TAutElem:
 def j_group_cocycle(g: TAutElem) -> CycSeries:
     """J(exp u) = sum_k u^k(div u)/(k+1)!; satisfies J(gh) = J(g) + g.J(h)."""
     u = taut_log(g)
-    term = divergence(u)
-    out = term
-    for k in range(1, g.degree + 1):
-        term = u.apply(term)
-        if not term:
-            break
-        out = out + term.scale(Fraction(1, factorial(k + 1)))
-    return out
+    return _lincomb(zip((Fraction(1, factorial(k)) for k in count(1)),
+                        _powers(u.apply, divergence(u))),
+                    CycSeries.zero(g.alphabet, g.degree))
 
 
 def inner_automorphism(c: LieSeries) -> TAutElem:

@@ -9,11 +9,12 @@ seed: keys are sorted and term lists have a canonical order.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import serialize
 from .automorphisms import (TAutElem, j_group_cocycle, taut_exp, taut_extend,
@@ -39,8 +40,8 @@ class InputError(Exception):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # encoded before anything is written, so a NaN or inf leaves stdout empty
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     sys.stdout.flush()  # a closed pipe fails here, inside main
 
 
@@ -122,10 +123,7 @@ def _cmd_exp(args):
 def _cmd_compose(args):
     if len(args.input) < 2:
         raise InputError("compose needs at least two --input documents")
-    elems = [_load_taut(p) for p in args.input]
-    out = elems[0]
-    for e in elems[1:]:
-        out = out.compose(e)
+    out = reduce(TAutElem.compose, [_load_taut(p) for p in args.input])
     _emit(serialize.encode_taut(out))
 
 
@@ -219,9 +217,12 @@ def _cmd_weight(args):
 
 def _parse_point(text: str) -> complex:
     try:
-        return complex(text)
+        point = complex(text)
     except ValueError as exc:
         raise InputError(f"cannot parse point {text!r}") from exc
+    if not cmath.isfinite(point):
+        raise InputError(f"point {text!r} is not finite")
+    return point
 
 
 def _cmd_angle(args):
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("div", _cmd_div, help="divergence cocycle of a derivation")
     p.add_argument("--input", required=True)
 
-    p = add("classify", _cmd_classify, help="tangential/special/krv flags")
+    p = add("classify", _cmd_classify, help="special/krv flags")
     p.add_argument("--input", required=True)
 
     p = add("extend", _cmd_extend, help="simplicial extension by a comma pattern")

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .lie import LieSeries, bch_xy, j_coefficients
-from .words import Alphabet, AssocSeries, Series, Word
+from .words import Alphabet, AssocSeries, Series, Word, _lincomb, _powers
 
 
 def canonical_rotation(word: Word) -> Word:
@@ -74,36 +74,25 @@ def tr_power(z: LieSeries, k: int) -> CycSeries:
 
 
 def j_of(z: LieSeries) -> CycSeries:
-    """The Duflo j-series evaluated on a Lie series, truncated."""
-    coeffs = j_coefficients(max(z.degree, 2))
-    out = CycSeries.zero(z.alphabet, z.degree)
+    """The Duflo j-series sum_k c_k tr(z^k) on a Lie series, truncated; the
+    trace is taken once, of the word sum."""
     zw = z.to_assoc()
-    power = zw
-    for k in range(2, z.degree + 1):
-        power = power * zw
-        if not power:
-            break
-        c = coeffs[k]
-        if c:
-            out = out + tr_project(power).scale(c)
-    return out
+    coeffs = j_coefficients(max(z.degree, 2)).values()  # c_2, c_3, ...
+    return tr_project(_lincomb(zip(coeffs, _powers(lambda p: p * zw, zw * zw)),
+                               AssocSeries.zero(z.alphabet, z.degree)))
 
 
 def duflo_series(degree: int) -> CycSeries:
     """duf(x,y) = (j(x) + j(y) - j(ch(x,y))) / 2 on two letters."""
     if degree < 2:
         raise ValueError("need degree >= 2")
-    alphabet = Alphabet(2)
-    x = LieSeries.generator(alphabet, degree, 0)
-    y = LieSeries.generator(alphabet, degree, 1)
+    x, y = LieSeries.generators(Alphabet(2), degree)
     ch = bch_xy(degree)
     return (j_of(x) + j_of(y) - j_of(ch)).scale(Fraction(1, 2))
 
 
 def h_subspace_vector(k: int, degree: int) -> CycSeries:
     """tr(x^k) + tr(y^k) - tr(ch(x,y)^k), one spanning vector per k >= 2."""
-    alphabet = Alphabet(2)
-    x = LieSeries.generator(alphabet, degree, 0)
-    y = LieSeries.generator(alphabet, degree, 1)
+    x, y = LieSeries.generators(Alphabet(2), degree)
     ch = bch_xy(degree)
     return tr_power(x, k) + tr_power(y, k) - tr_power(ch, k)

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cyclic import CycSeries, partial_decompose, tr_project
 from .lie import LieSeries, _expand, _solve
 from .lyndon import bracket_structure, lyndon_basis
-from .words import (Alphabet, AmbientMismatch, AssocSeries, Word, _by_length, _scaled,
-                    _times)
+from .words import (Alphabet, AmbientMismatch, AssocSeries, Word, _by_length, _lincomb,
+                    _scaled, _times)
 
 
 class TDer:
@@ -204,35 +204,17 @@ def _act(images: List[List[Tuple[int, list]]], coeffs: Dict[Word, int], degree: 
     return table
 
 
-def _lincomb(terms: Iterable[Tuple[Fraction, object]], zero):
-    """The sum of c * u over the (c, u) terms, skipping those where c or u
-    is zero; ``zero`` when every term is skipped."""
-    out = None
-    for c, u in terms:
-        if c and u:
-            u = u if c == 1 else u.scale(c)
-            out = u if out is None else out + u
-    return zero if out is None else out
-
-
 def divergence(u: TDer) -> CycSeries:
-    """div(u) = sum_i tr(x_i * d_i(a_i))."""
-    out = CycSeries.zero(u.alphabet, u.degree)
-    for i, a in enumerate(u.components):
-        aw = a.to_assoc()
-        if not aw:
-            continue
-        di = partial_decompose(aw, i)
-        xi = AssocSeries.generator(u.alphabet, u.degree, i)
-        prod = xi * di
-        if prod:
-            out = out + tr_project(prod)
-    return out
+    """div(u) = tr(sum_i x_i * d_i(a_i)), projected once."""
+    alphabet, degree = u.alphabet, u.degree
+    return tr_project(_lincomb(
+        ((1, AssocSeries.generator(alphabet, degree, i) * partial_decompose(a.to_assoc(), i))
+         for i, a in enumerate(u.components)),
+        AssocSeries.zero(alphabet, degree)))
 
 
 @dataclass(frozen=True)
 class DerivationFlags:
-    tangential_normalized: bool
     special: bool
     krv: bool
     witness_degree: Optional[int] = None
@@ -243,19 +225,14 @@ def classify(u: TDer) -> DerivationFlags:
 
     When a flag fails, witness_degree is the first degree where it does.
     """
-    total = AssocSeries.zero(u.alphabet, u.degree)
-    for img in u.generator_images():
-        total = total + img
-    special = not total
-    witness = None
-    if not special:
-        witness = total.min_degree()
-        return DerivationFlags(True, False, False, witness)
+    total = _lincomb(((1, img) for img in u.generator_images()),
+                     AssocSeries.zero(u.alphabet, u.degree))
+    if total:
+        return DerivationFlags(False, False, total.min_degree())
     div = divergence(u)
     if div:
-        witness = div.min_degree()
-        return DerivationFlags(True, True, False, witness)
-    return DerivationFlags(True, True, True)
+        return DerivationFlags(True, False, div.min_degree())
+    return DerivationFlags(True, True)
 
 
 # -- simplicial extensions --------------------------------------------

@@ -7,9 +7,9 @@ Geometric means unlabeled; canonical forms do the identification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Dict, List, Tuple, Union
 
 from .cyclic import CycSeries, canonical_rotation, tr_project
@@ -246,7 +246,7 @@ def enumerate_wheel_graphs(n: int) -> List[Tuple[WheelGraph, CycSeries, int]]:
             for j in sizes:
                 pools.append([s for s in sorted(_tree_shapes(j))
                               if not _has_multiedge(s)])
-            for spokes in _product_of(pools):
+            for spokes in product(*pools):
                 key = canonical_rotation(spokes)
                 if key in seen:
                     continue
@@ -263,15 +263,6 @@ def enumerate_wheel_graphs(n: int) -> List[Tuple[WheelGraph, CycSeries, int]]:
                 out.append((WheelGraph(_wheel_to_graph(key), k, key, not symbol),
                             symbol, mult))
     return out
-
-
-def _product_of(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product_of(pools[1:]):
-            yield (head,) + rest
 
 
 def graph_symbol(graph: KGraph):

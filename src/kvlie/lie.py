@@ -124,15 +124,11 @@ def bch(a: LieSeries, b: LieSeries) -> LieSeries:
 
 
 @lru_cache(maxsize=None)
-def _bch_xy(degree: int) -> LieSeries:
-    alphabet = Alphabet(2)
-    x, y = LieSeries.generators(alphabet, degree)
-    return bch(x, y)
-
-
 def bch_xy(degree: int) -> LieSeries:
-    """The Campbell-Hausdorff series ch(x, y) on two generators."""
-    return _bch_xy(degree)
+    """The Campbell-Hausdorff series ch(x, y) on two generators, built once
+    per degree."""
+    x, y = LieSeries.generators(Alphabet(2), degree)
+    return bch(x, y)
 
 
 def bernoulli_numbers(n_max: int) -> List[Fraction]:

@@ -29,7 +29,10 @@ def decode_fraction(s: Union[str, int]) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(
             f"coefficient {s!r} is not exact; write rationals as strings like \"1/10\"")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"coefficient {s!r} has a zero denominator") from exc
 
 
 def _encode_terms(alphabet: Alphabet, coeffs, key: str) -> List[Dict[str, str]]:
@@ -136,8 +139,7 @@ def decode_taut(doc: Dict[str, Any]) -> TAutElem:
 
 
 def encode_flags(f: DerivationFlags) -> Dict[str, Any]:
-    return {"tangential_normalized": f.tangential_normalized,
-            "special": f.special, "krv": f.krv,
+    return {"special": f.special, "krv": f.krv,
             "witness_degree": f.witness_degree}
 
 

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cyclic import CycSeries, duflo_series, h_subspace_vector
-from .derivations import (BraidGenerator, TDer, _lincomb, braid_bracket_basis,
-                          braid_embed, divergence, tder_coords, tder_extend)
+from .derivations import (BraidGenerator, TDer, braid_bracket_basis, braid_embed,
+                          divergence, tder_coords, tder_extend)
 from .lie import LieSeries, bch_xy
 from .lyndon import bracket_structure, lyndon_basis
 from .automorphisms import (TAutElem, inner_automorphism, r_element,
                             symmetry_transform, tau_involution, taut_exp,
                             taut_extend, taut_log)
-from .words import Alphabet
+from .words import Alphabet, _lincomb
 
 
 @dataclass
@@ -193,15 +193,6 @@ class AssociatorCandidate:
     tn_coordinates: Dict[int, List] = field(default_factory=dict)
 
 
-def _tder_cap(u: TDer, d: int) -> TDer:
-    """Drop components above derivation degree d, keeping the ambient."""
-    return TDer._trusted([
-        LieSeries._from_scaled(u.alphabet, u.degree,
-                               {w: n for w, n in comp._num.items() if len(w) <= d},
-                               comp._den)
-        for comp in u.components])
-
-
 def tder_bch(u: TDer, v: TDer, order: int) -> TDer:
     """log(exp(u) exp(v)) inside the Lie algebra of tangential derivations.
 
@@ -219,7 +210,8 @@ def tder_bch(u: TDer, v: TDer, order: int) -> TDer:
 
     total = _lincomb(((n, realize(bracket_structure(w))) for w, n in ch._num.items()),
                      TDer.zero(u.alphabet, u.degree))
-    return _tder_cap(total, order).scale(Fraction(1, ch._den))
+    # drop the terms above ``order``, keeping the ambient
+    return total.truncated(order).truncated(u.degree).scale(Fraction(1, ch._den))
 
 
 def _bch_chain(factors: Sequence[TDer], order: int) -> TDer:
@@ -270,13 +262,6 @@ def _braid_log(t: Dict[str, TDer], f: str, sign: int) -> TDer:
     return sum((t[n] for n in names[1:]), t[names[0]]).scale(Fraction(sign, 2))
 
 
-def _compose_all(elems: Sequence[TAutElem]) -> TAutElem:
-    out = elems[0]
-    for e in elems[1:]:
-        out = out.compose(e)
-    return out
-
-
 def _axiom_residuals(phi: TDer, degree: int, wanted: Sequence[str]) -> Dict[str, TDer]:
     """Exact log-residuals of the wanted axioms, extended at the group level.
 
@@ -292,8 +277,8 @@ def _axiom_residuals(phi: TDer, degree: int, wanted: Sequence[str]) -> Dict[str,
     ext = cache(lambda f: taut_extend(big, *f))
 
     def product(side, sign):
-        return _compose_all([taut_exp(_braid_log(t, f, sign)) if isinstance(f, str)
-                             else ext(f) for f in side])
+        return reduce(TAutElem.compose, [taut_exp(_braid_log(t, f, sign))
+                                         if isinstance(f, str) else ext(f) for f in side])
 
     out: Dict[str, TDer] = {}
     for key in wanted:
@@ -464,9 +449,9 @@ def check_f_symmetries(f: TAutElem, degree: Optional[int] = None) -> DegreeRepor
     half_inner = inner_automorphism((x + y).scale(Fraction(1, 2)))
     r = r_element(n_degree)
     tau1_f = symmetry_transform("tau1", f)
-    rhs1 = _compose_all([half_inner, tau1_f,
-                         symmetry_transform("tau1", r.invert())])
-    rhs2 = _compose_all([half_inner.invert(), tau1_f, r])
+    rhs1 = reduce(TAutElem.compose,
+                  [half_inner, tau1_f, symmetry_transform("tau1", r.invert())])
+    rhs2 = reduce(TAutElem.compose, [half_inner.invert(), tau1_f, r])
     tau_f = tau_involution(f)
     report = DegreeReport()
     for name, lhs, rhs in (("eyelid_plus", f, rhs1),

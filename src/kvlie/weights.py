@@ -83,8 +83,13 @@ def _over_norm(w):
 
 def angle_gradient(p: complex, q: complex,
                    kind: str = "hyperbolic") -> Tuple[float, float, float, float]:
-    """Partials (d/dpx, d/dpy, d/dqx, d/dqy) of the angle, in closed form."""
+    """Partials (d/dpx, d/dpy, d/dqx, d/dqy) of the angle, in closed form;
+    they divide by |q - p|^2 (and the larger |q - conj(p)|^2), so points
+    where that underflows to 0 are refused."""
     angle(p, q, kind)  # the same domain checks
+    w = complex(q) - complex(p)
+    if not w.real ** 2 + w.imag ** 2:
+        raise ValueError("angle gradient needs points whose squared distance is above 0")
     return _angle_partials(complex(p), complex(q), kind == "hyperbolic")
 
 

@@ -22,13 +22,19 @@ over the lcm of their denominators.  ``Fraction``s are built only at the
 boundary: ``coefficient`` returns one, and ``coeffs`` is a Fraction
 view of the table, built on first read and kept, that the serializer and
 the repr read.
+
+Every truncated power series sum_k c_k T^k(s) of the package (exp and log
+here; Ad, the group exponential and the J cocycle in ``automorphisms``; j
+in ``cyclic``) is one fold: ``_lincomb`` over the ``_powers`` of a
+degree-raising step T, which stop at the truncation whatever T is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import count
+from math import factorial, gcd, lcm
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
@@ -137,6 +143,30 @@ def _times(left: Mapping[Word, int], right: List[Tuple[int, list]], degree: int,
                 w = w1 + w2
                 table[w] = get(w, 0) + c1 * c2
     return table
+
+
+def _lincomb(terms: Iterable[Tuple[Fraction, object]], zero):
+    """The sum of c * u over the (c, u) terms, skipping those where c or u
+    is zero; ``zero`` when every term is skipped."""
+    out = None
+    for c, u in terms:
+        if c and u:
+            u = u if c == 1 else u.scale(c)
+            out = u if out is None else out + u
+    return zero if out is None else out
+
+
+def _powers(step: Callable, start) -> Iterator:
+    """start, step(start), ...: stops before the first zero and after
+    start.degree + 1 terms, all a degree-raising step can give; each step
+    runs only when its term is asked for."""
+    term = start
+    for k in range(start.degree + 1):
+        if k:
+            term = step(term)
+        if not term:
+            return
+        yield term
 
 
 class Series:
@@ -377,28 +407,19 @@ class AssocSeries(Series):
         """exp of a series with no constant term."""
         if self.constant_term:
             raise ValueError("exp requires vanishing constant term")
-        result = AssocSeries.one(self.alphabet, self.degree)
-        term = AssocSeries.one(self.alphabet, self.degree)
-        for k in range(1, self.degree + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if not term:
-                break
-            result = result + term
-        return result
+        one = AssocSeries.one(self.alphabet, self.degree)
+        return _lincomb(zip((Fraction(1, factorial(k)) for k in count()),
+                            _powers(lambda t: t * self, one)),
+                        AssocSeries.zero(self.alphabet, self.degree))
 
     def log(self) -> "AssocSeries":
         """log of a series with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("log requires constant term 1")
         h = self - AssocSeries.one(self.alphabet, self.degree)
-        result = AssocSeries.zero(self.alphabet, self.degree)
-        term = AssocSeries.one(self.alphabet, self.degree)
-        for k in range(1, self.degree + 1):
-            term = term * h
-            if not term:
-                break
-            result = result + term.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        return _lincomb(zip((Fraction((-1) ** (k + 1), k) for k in count(1)),
+                            _powers(lambda t: t * h, h)),
+                        AssocSeries.zero(self.alphabet, self.degree))
 
     def substitute(self, images: Sequence["AssocSeries"]) -> "AssocSeries":
         """Algebra-map extension of x_i -> images[i] (no constant terms)."""

@@ -270,9 +270,12 @@ def test_malformed_document_exit_2(doc):
     (["weight", "mc"], json.dumps({"n": 1, "edges": [[1]]})),
     (["weight", "mc"], json.dumps({"n": "1", "edges": []})),
     (["weight", "mc"], json.dumps({"n": 1, "edges": [[1, [2]], [1, "g1"]]})),
+    (["classify"], json.dumps({"n": 2, "components": [
+        {"degreeN": 3, "terms": [{"word": "y", "coeff": "1/0"}]},
+        {"degreeN": 3, "terms": []}]})),
 ], ids=["classify_number", "exp_list", "graph_number",
         "graph_missing_edges", "graph_short_edge", "graph_string_n",
-        "graph_list_vertex"])
+        "graph_list_vertex", "zero_denominator"])
 def test_malformed_top_level_and_graph_exit_2(verb, stdin):
     res = run(*verb, "--input", "-", stdin=stdin)
     assert res.returncode == 2
@@ -285,6 +288,17 @@ def test_angle_verb():
     assert json.loads(res.stdout)["angle"] == pytest.approx(0.0, abs=1e-12)
     bad = run("angle", "--p", "1j", "--q", "1j")
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "inf", "--q", "1"],
+    ["--p", "1e308+1e308j", "--q", "1"],
+    ["--p", "1e-200+1j", "--q", "1j", "--gradient"],
+], ids=["infinite_point", "overflowing_angle", "underflowing_distance"])
+def test_angle_without_a_finite_answer_exit_2(argv, capsys):
+    assert cli.main(["angle", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_angle_takes_a_negative_real_part_in_both_forms():

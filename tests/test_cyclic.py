@@ -1,16 +1,18 @@
 """Cyclic words, the trace projection, and the Duflo density."""
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlie.cyclic import (CycSeries, canonical_rotation, duflo_series,
                           h_subspace_vector, j_of, partial_decompose,
                           tr_project, tr_power)
-from kvlie.lie import LieSeries, bch_xy
-from kvlie.words import Alphabet, AssocSeries
+from kvlie.lie import LieSeries, bch_xy, j_coefficients
+from kvlie.lyndon import lyndon_basis
+from kvlie.words import Alphabet, AssocSeries, _powers
 
 from test_words import rand_series
 
@@ -73,6 +75,35 @@ def test_j_of_single_generator():
     assert j.coefficient((0, 0)) == Fraction(1, 24)
     assert j.coefficient((0, 0, 0)) == 0
     assert j.coefficient((0, 0, 0, 0)) == Fraction(-1, 2880)
+
+
+@st.composite
+def lie_series(draw):
+    """A Lie series on two letters at truncation 1..5, random on the Lyndon basis."""
+    degree = draw(st.integers(1, 5))
+    words = [w for d in range(1, degree + 1) for w in lyndon_basis(2, d)]
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    coeffs = draw(st.lists(coeff, min_size=len(words), max_size=len(words)))
+    return LieSeries(A2, degree, dict(zip(words, coeffs)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lie_series())
+def test_power_series_fold_matches_power_sums(z):
+    # exp, log and j sum through _powers; the sums here are built from
+    # AssocSeries.power and tr_power instead
+    a, degree = z.to_assoc(), z.degree
+    one, zero = AssocSeries.one(A2, degree), AssocSeries.zero(A2, degree)
+    assert a.exp() == sum((a.power(k).scale(Fraction(1, factorial(k)))
+                           for k in range(degree + 1)), zero)
+    assert (one + a).log() == sum((a.power(k).scale(Fraction((-1) ** (k + 1), k))
+                                   for k in range(1, degree + 1)), zero)
+    assert j_of(z) == sum((tr_power(z, k).scale(c)
+                           for k, c in j_coefficients(max(degree, 2)).items()
+                           if k <= degree), CycSeries.zero(A2, degree))
+    x = LieSeries.generator(A2, degree, 0)
+    assert len(list(_powers(lambda t: t, x))) == degree + 1
+    assert list(_powers(lambda t: t, LieSeries.zero(A2, degree))) == []
 
 
 def test_duflo_degree_two_anchor():

@@ -28,6 +28,8 @@ def test_fraction_codec():
     assert serialize.decode_fraction("5/15") == Fraction(1, 3)
     assert serialize.decode_fraction(serialize.encode_fraction(Fraction(0))) == 0
     assert serialize.decode_fraction(3) == Fraction(3)
+    with pytest.raises(ValueError, match="zero denominator"):
+        serialize.decode_fraction("1/0")
 
 
 @pytest.mark.parametrize("coeff", [0.1, 1.0, True, None, [1, 2]])
