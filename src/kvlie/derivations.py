@@ -324,6 +324,19 @@ def tder_coords(u: TDer, d: int) -> List[Fraction]:
     return out
 
 
+def strand_coords(u: TDer, i: int, d: int) -> List[Fraction]:
+    """Strand i's coordinates of a derivation in t_n: the coefficients of
+    component i (0-based) on the degree-d Lyndon words in x_{i+1}, ..., x_n.
+
+    Block i of the braid bracket basis vanishes in the components before
+    i, and its component i, at x_i = 0, is the same bracket of x_{i+1},
+    ..., x_n.  So strands 0..n-2 read t_n triangularly, and injectively,
+    in dim t_n coordinates; component n - 1 is never read.
+    """
+    return [u.components[i].coefficient(tuple(i + 1 + k for k in w))
+            for w in lyndon_basis(u.alphabet.n - 1 - i, d)]
+
+
 @lru_cache(maxsize=None)
 def _braid_basis(n: int, d: int) -> Tuple[Tuple[Tuple[tuple, TDer], ...], ...]:
     """The degree-d braid bracket basis of t_n at truncation d, one block
@@ -381,12 +394,11 @@ def tn_membership(u: TDer, d: Optional[int] = None):
     """Coordinates of a homogeneous derivation on the degree-d braid bracket
     basis, or None when it lies outside the span.
 
-    The coordinates are read strand by strand.  Component i of a block-i
-    bracket, at x_i = 0, is the same bracket of x_{i+1}, ..., x_n, and the
-    later blocks vanish in component i.  So block i's coordinates are the
-    Lyndon coefficients of component i of the remainder on the words in
-    x_{i+1}, ..., x_n.  Once that block's combination is subtracted, strand
-    i + 1 follows; a nonzero final remainder is outside the span.
+    The coordinates are read strand by strand: block i's are the
+    ``strand_coords`` of the remainder on strand i, because the later
+    blocks vanish in component i.  Once that block's combination is
+    subtracted, strand i + 1 follows; a nonzero final remainder is outside
+    the span.
 
     u needs at least 2 generators; d runs from 1 to u's truncation.
     """
@@ -405,8 +417,7 @@ def tn_membership(u: TDer, d: Optional[int] = None):
     rest, zero = u.truncated(d), TDer.zero(u.alphabet, d)
     coords = []
     for i, block in enumerate(_braid_basis(n, d)):
-        cs = [rest.components[i].coefficient(tuple(i + 1 + k for k in w))
-              for w in lyndon_basis(n - 1 - i, d)]
+        cs = strand_coords(rest, i, d)
         rest = rest - _lincomb(zip(cs, (e for _lbl, e in block)), zero)
         coords += [(lbl, c) for (lbl, _e), c in zip(block, cs)]
     return None if rest else coords

@@ -101,7 +101,7 @@ def decode_series(doc: Dict[str, Any], kind: str = "lie",
     if kind == "lie":
         return LieSeries(alphabet, degree, table)
     if kind == "assoc":
-        return AssocSeries(alphabet, degree, table, unital=() in table)
+        return AssocSeries(alphabet, degree, table)
     if kind == "cyclic":
         return CycSeries(alphabet, degree, table)
     raise ValueError(f"unknown series kind {kind!r}")

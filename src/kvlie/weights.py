@@ -58,7 +58,12 @@ def angle(p: complex, q: complex, kind: str = "hyperbolic") -> float:
         raise ValueError("hyperbolic angle lives on the closed upper half plane")
     if q == p.conjugate():
         raise ValueError("angle needs distinct points")
-    return cmath.phase((q - p) / (q - p.conjugate()))
+    # scaled by a power of two from the larger difference, which is exact,
+    # so the division cannot overflow
+    w1, w2 = q - p, q - p.conjugate()
+    e = -math.frexp(max(abs(w2.real), abs(w2.imag)))[1]
+    return cmath.phase(complex(math.ldexp(w1.real, e), math.ldexp(w1.imag, e))
+                       / complex(math.ldexp(w2.real, e), math.ldexp(w2.imag, e)))
 
 
 def _angle_partials(p, q, hyperbolic: bool = True):
@@ -185,10 +190,14 @@ def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
+# samples drawn per array pass, and the largest share of samples with a
+# non-finite value an estimate accepts
+_BATCH = 200_000
+_MAX_REJECTION = 0.01
+
+
 def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
-                      seed: int = 0, streams: int = 1,
-                      batch: int = 200_000,
-                      max_rejection: float = 0.01) -> WeightEstimate:
+                      seed: int = 0, streams: int = 1) -> WeightEstimate:
     """Importance-sampled estimate of the graph weight.
 
     Ground vertices sit at 0 and 1 (the scaling/translation gauge).
@@ -203,8 +212,6 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
     if not 1 <= streams <= samples:
         raise ValueError(
             f"need 1 <= streams <= samples, got {streams} streams for {samples} samples")
-    if batch < 1:
-        raise ValueError(f"need a batch of at least 1 sample, got {batch}")
     import numpy as np
     n = graph.n
     norm = ORIENTATION_SIGN / TWO_PI ** (2 * n)
@@ -217,7 +224,7 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
         rng = np.random.default_rng(child)
         todo = per_stream + (index < extra)
         while todo > 0:
-            k = min(batch, todo)
+            k = min(_BATCH, todo)
             todo -= k
             z = _sample_points(rng, k * n).reshape(k, n)
             dens = np.prod(_proposal_density(z), axis=1)
@@ -229,9 +236,9 @@ def weight_montecarlo(graph: KGraph, samples: int = 1_000_000,
             total += float(vals.sum())
             total_sq += float(np.square(vals).sum())
     rate = (samples - kept) / samples
-    if rate > max_rejection:
+    if rate > _MAX_REJECTION:
         raise RuntimeError(
-            f"degenerate sample rate {rate:.4f} above threshold {max_rejection}")
+            f"degenerate sample rate {rate:.4f} above threshold {_MAX_REJECTION}")
     mean = total / kept
     var = max(total_sq / kept - mean * mean, 0.0)
     stderr = math.sqrt(var / kept)

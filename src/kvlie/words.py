@@ -7,9 +7,10 @@ error, never a coercion.
 
 Word, Lie and cyclic series share one base class, ``Series``, and are
 validated once: ``Series.__init__`` is the public constructor of every
-kind, and each kind adds only its own key check.  Arithmetic on valid
-series builds its result through the private ``_from_scaled``
-constructor, which only puts the table in canonical form.
+kind, and Lie and cyclic series add only their own key check.
+Arithmetic on valid series builds its result through the private
+``_from_scaled`` constructor, which only puts the table in canonical
+form.
 
 A series stores integer numerators over one denominator: ``_num`` maps
 each word to a nonzero int, ``_den`` is a positive int, and the two share
@@ -340,32 +341,10 @@ class Series:
 
 
 class AssocSeries(Series):
-    """Series keyed by words: the truncated free associative algebra.
+    """Series keyed by words: the truncated free associative algebra,
+    whose unit is the empty word."""
 
-    ``unital`` records whether the empty word is permitted (the unit of the
-    full algebra) or excluded (augmentation ideal).
-    """
-
-    __slots__ = ("unital",)
-
-    def __init__(self, alphabet: Alphabet, degree: int,
-                 coeffs: Mapping[Word, Fraction] | None = None,
-                 unital: bool = True):
-        self.unital = unital
-        super().__init__(alphabet, degree, coeffs)
-
-    @classmethod
-    def _from_scaled(cls, alphabet: Alphabet, degree: int,
-                     numerators: Dict[Word, int], denom: int) -> "AssocSeries":
-        """Like ``Series._from_scaled``; the result is unital, like every
-        arithmetic result."""
-        self = super()._from_scaled(alphabet, degree, numerators, denom)
-        self.unital = True
-        return self
-
-    def _check_key(self, word: Word) -> None:
-        if not word and not self.unital:
-            raise ValueError("augmentation-ideal series cannot carry the empty word")
+    __slots__ = ()
 
     def _term(self, word: Word) -> str:
         return self.alphabet.word_name(word) or "1"
@@ -379,11 +358,6 @@ class AssocSeries(Series):
     @property
     def constant_term(self) -> Fraction:
         return self.coefficient(())
-
-    def truncated(self, degree: int) -> "AssocSeries":
-        out = super().truncated(degree)
-        out.unital = self.unital
-        return out
 
     # -- products -----------------------------------------------------
 

@@ -52,11 +52,6 @@ def test_non_rotation_minimal_necklace_rejected():
         CycSeries(A2, 3, {(1, 0): Fraction(1)})
 
 
-def test_augmentation_ideal_rejects_unit():
-    with pytest.raises(ValueError):
-        AssocSeries(A2, 3, {(): Fraction(1)}, unital=False)
-
-
 @pytest.mark.parametrize("first, second",
                          list(itertools.combinations([AssocSeries, LieSeries, CycSeries], 2)))
 def test_kinds_with_the_same_table_are_unequal(first, second):
@@ -72,19 +67,17 @@ fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 
 @st.composite
-def assoc_series(draw, n, degree, unital=False):
-    words = st.lists(st.integers(0, n - 1), min_size=0 if unital else 1,
+def assoc_series(draw, n, degree, with_unit=False):
+    words = st.lists(st.integers(0, n - 1), min_size=0 if with_unit else 1,
                      max_size=degree).map(tuple)
     table = draw(st.dictionaries(words, fractions, max_size=8))
-    return AssocSeries(Alphabet(n), degree, table, unital=unital)
+    return AssocSeries(Alphabet(n), degree, table)
 
 
-def assert_clean(s, degree, kind, unital=True):
+def assert_clean(s, degree, kind):
     """Exactly of class ``kind``, every key valid for it, no zero, nothing
-    above the truncation; a word series has the given ``unital`` flag."""
+    above the truncation."""
     assert type(s) is kind
-    if kind is AssocSeries:
-        assert s.unital is unital
     assert s.degree == degree
     for w, c in s.coeffs.items():
         assert isinstance(c, Fraction) and c != 0
@@ -152,14 +145,12 @@ def test_lie_and_derivation_results_are_clean(data, n, degree):
 @SETTINGS
 @given(st.data(), st.integers(2, 3), st.integers(1, 4), st.integers(1, 5))
 def test_truncated_matches_public_constructor(data, n, degree, cut):
-    unital = data.draw(st.booleans())
-    a = data.draw(assoc_series(n, degree, unital=unital))
+    a = data.draw(assoc_series(n, degree, with_unit=data.draw(st.booleans())))
     b = data.draw(lie_series(n, degree))
     for s in (a, b, tr_project(a - a.homogeneous(0))):
         t = s.truncated(cut)
         assert t == type(s)(s.alphabet, cut, s.coeffs)
-        assert_clean(t, cut, type(s), unital)  # no word beyond the cut
-    assert a.truncated(cut).unital is unital
+        assert_clean(t, cut, type(s))  # no word beyond the cut
 
 
 def test_generator_images_are_an_immutable_tuple():
@@ -268,11 +259,11 @@ def coefficient_pools(draw):
 
 
 @st.composite
-def pooled_assoc(draw, n, degree, pool, unital=True, max_size=7):
-    words = st.lists(st.integers(0, n - 1), min_size=0 if unital else 1,
+def pooled_assoc(draw, n, degree, pool, with_unit=True, max_size=7):
+    words = st.lists(st.integers(0, n - 1), min_size=0 if with_unit else 1,
                      max_size=degree).map(tuple)
     table = draw(st.dictionaries(words, pool, max_size=max_size))
-    return AssocSeries(Alphabet(n), degree, table, unital=unital)
+    return AssocSeries(Alphabet(n), degree, table)
 
 
 @st.composite
@@ -311,7 +302,7 @@ def test_product_drops_cancelled_terms():
 def test_substitute_matches_fraction_reference(data, n, m, degree):
     pool = data.draw(coefficient_pools())
     s = data.draw(pooled_assoc(n, degree, pool))
-    images = [data.draw(pooled_assoc(m, degree, pool, unital=False, max_size=4))
+    images = [data.draw(pooled_assoc(m, degree, pool, with_unit=False, max_size=4))
               for _ in range(n)]
     assert_stored(s.substitute(images),
                   ref_substitute(s.coeffs, [im.coeffs for im in images], degree))
@@ -427,7 +418,7 @@ def test_every_result_is_stored_in_canonical_form(data, n, degree):
     a, b = (data.draw(pooled_assoc(n, degree, pool)) for _ in range(2))
     x, y = (data.draw(pooled_lie(n, degree, pool)) for _ in range(2))
     p, q = (tr_project(s - s.homogeneous(0)) for s in (a, b))
-    images = [data.draw(pooled_assoc(n, degree, pool, unital=False, max_size=4))
+    images = [data.draw(pooled_assoc(n, degree, pool, with_unit=False, max_size=4))
               for _ in range(n)]
     c = data.draw(pool)
     cut = data.draw(st.integers(1, degree))

@@ -80,7 +80,7 @@ coefficients = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1
 def word_series(draw, n, degree):
     words = st.lists(st.integers(0, n - 1), max_size=degree).map(tuple)
     table = draw(st.dictionaries(words, coefficients, max_size=6))
-    return AssocSeries(Alphabet(n), degree, table, unital=() in table)
+    return AssocSeries(Alphabet(n), degree, table)
 
 
 @st.composite

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from kvlie import linalg
+from kvlie import linalg, solvers
 from kvlie.automorphisms import TAutElem, taut_exp, taut_log
-from kvlie.derivations import TDer, braid_bracket_basis, tder_coords, tder_extend
+from kvlie.derivations import (TDer, braid_bracket_basis, strand_coords, tder_coords,
+                               tder_extend)
 from kvlie.lie import LieSeries
 from kvlie.solvers import (_associator_operator, _bch_chain, _braid_tders,
                            _linear_residuals,
@@ -203,18 +204,68 @@ SOLVES = [("even", 1), ("even", -1), ("unconstrained", 1), ("unconstrained", -1)
 
 @pytest.mark.parametrize("parity,sign", SOLVES)
 def test_operator_columns_match_finite_differences(parity, sign):
+    """Every coordinate of the linear residuals is a finite difference,
+    and the operator's columns are their strand rows."""
+    def every_coordinate(res, d):
+        return [c for name in ("duality", "pentagon", "hexagon")
+                for c in tder_coords(res[name], d)]
+
     log = solve_associator(3, parity, sign)[0].log
     for d in (2, 3):
         phi = log.truncated(d - 1).truncated(log.degree)
-        r0 = _residual_vector(_full_ambient_residuals(phi, d, sign), d)
+        r0 = every_coordinate(_full_ambient_residuals(phi, d, sign), d)
         columns = []
         for _lbl, e in braid_bracket_basis(3, d, log.degree):
-            r = _residual_vector(_full_ambient_residuals(phi + e, d, sign), d)
-            columns.append(
-                _residual_vector(_linear_residuals(e.truncated(d)), d))
-            assert columns[-1] == [ri - r0i for ri, r0i in zip(r, r0)]
+            r = every_coordinate(_full_ambient_residuals(phi + e, d, sign), d)
+            linear = _linear_residuals(e.truncated(d))
+            assert every_coordinate(linear, d) == [ri - r0i for ri, r0i in zip(r, r0)]
+            columns.append(_residual_vector(linear, d))
         assert any(any(c) for c in columns)
         assert [list(c) for c in zip(*_associator_operator(d))] == columns
+
+
+def test_strand_rows_are_injective_on_tn():
+    # dim t_n strand rows read the braid bracket basis with no kernel, so
+    # the solver's rows have the null space of every-coordinate rows
+    for n, top in ((3, 6), (4, 4)):
+        for d in range(1, top + 1):
+            basis = braid_bracket_basis(n, d, d)
+            columns = [[c for i in range(n - 1) for c in strand_coords(e, i, d)]
+                       for _lbl, e in basis]
+            assert len(columns[0]) == len(basis)
+            assert linalg.nullspace([list(r) for r in zip(*columns)]) == [], (n, d)
+    # dim t_4 + 2 dim t_3 operator rows
+    assert [len(_associator_operator(d)) for d in range(2, 6)] == [6, 14, 27, 66]
+    e = braid_bracket_basis(3, 6, 6)[0][1]
+    assert len(_residual_vector(_linear_residuals(e), 6)) == 143
+
+
+def _with_stray_last_component(monkeypatch, at):
+    """Patch the solver's residuals to carry, in degree ``at``, one Lyndon
+    term in the last component of the duality residual, which no strand
+    row reads."""
+    log_residuals = solvers._log_residuals
+
+    def patched(phi, d, hexagon_sign):
+        res = log_residuals(phi, d, hexagon_sign)
+        if d == at:
+            u = res["duality"]
+            stray = LieSeries(u.alphabet, u.degree, {(0,) + (1,) * (d - 1): 1})
+            res["duality"] = TDer([*u.components[:-1], u.components[-1] + stray])
+        return res
+
+    monkeypatch.setattr(solvers, "_log_residuals", patched)
+
+
+def test_residual_outside_the_strand_rows_is_reported(monkeypatch):
+    clean = solve_associator(3, "unconstrained")[0]
+    _with_stray_last_component(monkeypatch, 2)
+    cand, report = solve_associator(3, "unconstrained")
+    assert [r.residual_zero for r in report.records] == [True, False, True]
+    assert cand.tn_coordinates == clean.tn_coordinates
+    _with_stray_last_component(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="odd degree 3"):
+        solve_associator(3, "even")
 
 
 @pytest.mark.parametrize("parity,sign", SOLVES)

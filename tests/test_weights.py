@@ -212,10 +212,3 @@ def test_montecarlo_symmetric_wheels_vanish(ground):
 def test_montecarlo_draws_the_whole_budget(samples, streams):
     est = weight_montecarlo(single_edge_graph(), samples=samples, streams=streams)
     assert est.samples + round(est.rejection_rate * samples) == samples
-
-
-@pytest.mark.parametrize("batch", [0, -1])
-def test_montecarlo_rejects_an_empty_batch(batch):
-    with pytest.raises(ValueError):
-        weight_montecarlo(single_edge_graph(), samples=10, batch=batch)
-

@@ -13,13 +13,13 @@ from kvlie.words import MAX_LETTERS, Alphabet, AmbientMismatch, AssocSeries
 A2 = Alphabet(2)
 
 
-def rand_series(rng, alphabet, degree, terms=6, unital=False):
+def rand_series(rng, alphabet, degree, terms=6):
     table = {}
     for _ in range(terms):
-        length = rng.randint(0 if unital else 1, degree)
+        length = rng.randint(1, degree)
         word = tuple(rng.randrange(alphabet.n) for _ in range(length))
         table[word] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
-    return AssocSeries(alphabet, degree, table, unital=unital)
+    return AssocSeries(alphabet, degree, table)
 
 
 def test_zero_pruning_and_equality():
