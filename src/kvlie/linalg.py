@@ -38,10 +38,6 @@ def _rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     return rows, pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(_rref(rows)[1])
-
-
 def _free_basis(rref: Matrix, pivots: Sequence[int], n: int) -> List[Vector]:
     """Kernel basis of the first n columns of an RREF, one vector per free
     column.  Pivots at column n or beyond (an augmented column) are ignored:

@@ -340,12 +340,6 @@ def _residual_vector(res: Dict[str, TDer], d: int) -> List[Fraction]:
             for c in strand_coords(res[name], i, d)]
 
 
-def _residuals_vanish(phi: TDer, d: int, hexagon_sign: int) -> bool:
-    """Whether every axiom residual of phi vanishes in degree d, read on
-    every word of every component, so a residual outside t_n shows too."""
-    return not any(r.homogeneous(d) for r in _log_residuals(phi, d, hexagon_sign).values())
-
-
 @lru_cache(maxsize=None)
 def _associator_operator(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """Rows of the linearised axiom operator on the degree-d braid bracket
@@ -362,6 +356,9 @@ def solve_associator(degree: int, parity: str = "even",
 
     parity="even" zeroes every odd homogeneous degree (kappa-invariance);
     "unconstrained" leaves odd degrees to the equations and the gauge.
+    Each degree folds its residuals once and takes one step, over an empty
+    basis where the parity skips it.  Its record adds the step's linear
+    residuals (exact in degree d) and reads every word of every component.
     """
     if degree < 2:
         raise ValueError("need degree >= 2")
@@ -376,26 +373,27 @@ def solve_associator(degree: int, parity: str = "even",
     coords: Dict[int, List] = {}
 
     for d in range(1, degree + 1):
-        if parity == "even" and d % 2 == 1:
-            ok = _residuals_vanish(phi, d, hexagon_sign)
-            report.records.append(DegreeRecord(d, 0, 0, ok))
-            if not ok:
-                raise RuntimeError(
-                    f"even-parity associator system infeasible at odd degree {d}")
-            coords[d] = []
-            continue
-        basis = braid_bracket_basis(3, d, degree + 1)
-        b = [-v for v in _residual_vector(_log_residuals(phi, d, hexagon_sign), d)]
-        particular, null = linalg.solve_affine(_associator_operator(d), b)
-        if particular is None:
-            raise RuntimeError(f"associator system infeasible at degree {d}")
-        solution = linalg.min_norm_pick(particular, null)
-        phi = phi + _lincomb(zip(solution, (e for _lbl, e in basis)),
-                             TDer.zero(alphabet, degree + 1))
-        coords[d] = [(lbl, c) for c, (lbl, _e) in zip(solution, basis)]
+        res = _log_residuals(phi, d, hexagon_sign)
+        skipped = parity == "even" and d % 2 == 1
+        basis = [] if skipped else braid_bracket_basis(3, d, degree + 1)
+        solution, null = [], []
+        if basis:
+            b = [-v for v in _residual_vector(res, d)]
+            particular, null = linalg.solve_affine(_associator_operator(d), b)
+            if particular is None:
+                raise RuntimeError(f"associator system infeasible at degree {d}")
+            solution = linalg.min_norm_pick(particular, null)
+        step = _lincomb(zip(solution, (e for _lbl, e in basis)),
+                        TDer.zero(alphabet, degree + 1))
+        lin = _linear_residuals(step)
+        ok = not any((res[k] + lin[k].truncated(d)).homogeneous(d) for k in res)
         report.records.append(DegreeRecord(
-            d, len(basis), len(basis) - len(null),
-            _residuals_vanish(phi, d, hexagon_sign), solution))
+            d, len(basis), len(basis) - len(null), ok, solution))
+        if skipped and not ok:
+            raise RuntimeError(
+                f"even-parity associator system infeasible at odd degree {d}")
+        phi = phi + step
+        coords[d] = [(lbl, c) for c, (lbl, _e) in zip(solution, basis)]
 
     candidate = AssociatorCandidate(element=taut_exp(phi), log=phi,
                                     tn_coordinates=coords)

@@ -268,6 +268,34 @@ def test_residual_outside_the_strand_rows_is_reported(monkeypatch):
         solve_associator(3, "even")
 
 
+def test_each_degree_folds_its_residuals_once(monkeypatch):
+    log_residuals = solvers._log_residuals
+    degrees = []
+
+    def counted(phi, d, hexagon_sign):
+        degrees.append(d)
+        return log_residuals(phi, d, hexagon_sign)
+
+    monkeypatch.setattr(solvers, "_log_residuals", counted)
+    solve_associator(4, "even")
+    assert degrees == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("parity", ["even", "unconstrained"])
+def test_wrong_step_is_reported(monkeypatch, parity):
+    # the degree-2 step is the only one-element solution, and its nullity
+    # is 0, so the shifted step leaves a residual the record must show
+    min_norm_pick = linalg.min_norm_pick
+
+    def shifted(particular, null):
+        solution = min_norm_pick(particular, null)
+        return [solution[0] + 1] if len(solution) == 1 else solution
+
+    monkeypatch.setattr(linalg, "min_norm_pick", shifted)
+    report = solve_associator(2, parity)[1]
+    assert [r.residual_zero for r in report.records] == [True, False]
+
+
 @pytest.mark.parametrize("parity,sign", SOLVES)
 def test_graded_residual_matches_full_ambient(parity, sign):
     log = solve_associator(3, parity, sign)[0].log
